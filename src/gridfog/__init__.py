@@ -12,7 +12,6 @@ from .errors import (
     MixedSweepVariables,
     NoEligibleNodes,
     ParseError,
-    PileUnavailable,
     SchedulingInPast,
     StaleReport,
     UnknownKey,
@@ -30,12 +29,6 @@ from .harness import (
     write_topology_csv,
 )
 from .metrics import MetricsRow, MetricsTable, percentile_nearest_rank
-from .scenario import (
-    ScenarioConfig,
-    Simulation,
-    run_coordinated,
-    run_scenario,
-    run_traditional,
-)
+from .scenario import ScenarioConfig, Simulation, run_scenario
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ The coordinator reads its registry of pile reports, narrows to in-range
 piles with queue headroom (the candidate group, which doubles as the
 migration group V downstream), dispatches one job per candidate, and
 decides for the lowest score once all results are in or the aggregation
-window closes.  It also performs the init-time application deployment.
+window closes.
 """
 
 from __future__ import annotations
@@ -13,30 +13,8 @@ from dataclasses import dataclass, field
 
 from .engine import SimTime
 from .errors import EmptyResultSet, NoEligibleNodes
-from .fognode import DataflowGraph
 from .messages import Decision, JobDispatch, JobResult, ServiceRequest
 from .topology import Layer, NodeId, Registry, nodes_within
-
-
-@dataclass(frozen=True)
-class ApplicationImage:
-    """Deployable flow template bound for every node of one layer."""
-
-    app_id: str
-    flow_template: DataflowGraph
-    target_layer: Layer
-
-    def __post_init__(self):
-        self.flow_template.validate()
-
-
-def deploy_application(image: ApplicationImage, nodes) -> dict[NodeId, DataflowGraph]:
-    """Instantiate the template on every target-layer node. Idempotent."""
-    placement: dict[NodeId, DataflowGraph] = {}
-    for record in nodes:
-        if record.node.layer == image.target_layer.value:
-            placement[record.node] = image.flow_template.placed_on(record.node)
-    return placement
 
 
 def filter_candidates(registry: Registry, request: ServiceRequest) -> list[NodeId]:
@@ -62,7 +40,6 @@ def dispatch(
         JobDispatch(
             request_id=request.request_id,
             assignee=node,
-            substream=f"{request.kind}/{request.request_id}",
             dispatched_at=clock,
         )
         for node in candidates

@@ -139,9 +139,6 @@ class RngStream:
     def random(self) -> float:
         return float(self._gen.random())
 
-    def uniform(self, low: float, high: float) -> float:
-        return float(self._gen.uniform(low, high))
-
     def exponential(self, mean: float) -> float:
         return float(self._gen.exponential(mean))
 

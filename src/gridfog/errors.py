@@ -21,10 +21,6 @@ class EmptyResultSet(GridFogError):
     """Aggregation was asked to decide with no results at hand."""
 
 
-class PileUnavailable(GridFogError):
-    """The charging pile cannot take evaluation requests."""
-
-
 class CyclicFlow(GridFogError):
     """A dataflow graph contains a cycle."""
 

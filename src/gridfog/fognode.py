@@ -12,15 +12,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .engine import SimTime
-from .errors import (
-    CapacityExceeded,
-    CyclicFlow,
-    FlowNotResident,
-    PileUnavailable,
-)
+from .errors import CapacityExceeded, CyclicFlow, FlowNotResident
 from .messages import JobResult, PileOffer, ServiceRequest
 from .topology import NodeId, Point2D
 
@@ -31,11 +26,10 @@ OP_KINDS = ("input", "process", "output")
 
 @dataclass(frozen=True)
 class DataflowGraph:
-    """Operators, directed edges, and per-operator node placement."""
+    """Operators and the directed edges between them."""
 
     operators: tuple[tuple[str, str], ...]
     edges: tuple[tuple[str, str], ...]
-    placement: tuple[tuple[str, NodeId], ...] = ()
 
     def op_ids(self) -> list[str]:
         return [op_id for op_id, _ in self.operators]
@@ -45,12 +39,6 @@ class DataflowGraph:
             if oid == op_id:
                 return kind
         raise KeyError(op_id)
-
-    def placement_map(self) -> dict[str, NodeId]:
-        return dict(self.placement)
-
-    def placed_on(self, node: NodeId) -> "DataflowGraph":
-        return replace(self, placement=tuple((oid, node) for oid, _ in self.operators))
 
     def validate(self) -> None:
         ids = self.op_ids()
@@ -72,7 +60,7 @@ class DataflowGraph:
                 raise ValueError(f"input operator {oid} has incoming edges")
             if kind == "output" and outgoing[oid] > 0:
                 raise ValueError(f"output operator {oid} has outgoing edges")
-        translate_flow(self, check_placement=False)  # raises CyclicFlow on cycles
+        translate_flow(self)  # raises CyclicFlow on cycles
 
 
 def session_flow_template() -> DataflowGraph:
@@ -89,15 +77,11 @@ class Instruction:
     kind: str
 
 
-def translate_flow(fragment: DataflowGraph, check_placement: bool = True) -> list[Instruction]:
+def translate_flow(fragment: DataflowGraph) -> list[Instruction]:
     """Topologically order a single-node fragment into an instruction list.
 
     Ready operators are emitted in op_id order so the result is unique.
     """
-    if check_placement and fragment.placement:
-        nodes = {node for _, node in fragment.placement}
-        if len(nodes) > 1:
-            raise ValueError("fragment spans multiple nodes")
     ids = fragment.op_ids()
     indegree = {oid: 0 for oid in ids}
     children: dict[str, list[str]] = {oid: [] for oid in ids}
@@ -169,7 +153,6 @@ class PileState:
     location: Point2D
     queue_len: int = 0
     service_rate: float = 30.0  # charges per virtual hour
-    available: bool = True
 
     def __post_init__(self):
         if self.queue_len < 0:
@@ -197,8 +180,6 @@ def evaluate_charging_request(
     w_dist, w_wait = weights
     if w_dist < 0 or w_wait < 0 or (w_dist == 0 and w_wait == 0):
         raise ValueError("weights must be >= 0 and not both zero")
-    if not pile.available:
-        raise PileUnavailable(str(pile.node))
     dist = pile.location.distance_to(request.origin)
     score = w_dist * dist + w_wait * pile.expected_wait_hours
     if not math.isfinite(score):
@@ -225,7 +206,7 @@ class FlowInstance:
         self.flow_id = flow_id
         self.graph = graph
         self.home = home
-        self.instructions = translate_flow(graph, check_placement=False)
+        self.instructions = translate_flow(graph)
         self.operator_states = (
             dict(operator_states)
             if operator_states is not None

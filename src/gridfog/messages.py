@@ -36,7 +36,6 @@ class PileOffer:
 class JobDispatch:
     request_id: str
     assignee: NodeId
-    substream: str
     dispatched_at: SimTime
 
 

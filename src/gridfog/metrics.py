@@ -34,9 +34,6 @@ class MetricsTable:
     def append(self, row: MetricsRow) -> None:
         self.rows.append(row)
 
-    def extend(self, other: "MetricsTable") -> None:
-        self.rows.extend(other.rows)
-
     def __len__(self) -> int:
         return len(self.rows)
 

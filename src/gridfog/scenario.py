@@ -14,13 +14,12 @@ contend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 from .coordinator import PendingRequest, aggregate, dispatch, filter_candidates
 from .engine import EventQueue, LatencyModel, RngStream, SimTime, link_latency
 from .errors import CapacityExceeded, NoEligibleNodes
 from .fognode import (
-    DataflowGraph,
     FogNode,
     MigrationAck,
     MigrationPolicy,
@@ -42,7 +41,7 @@ from .messages import (
     ServiceRequest,
     StatusReportMsg,
 )
-from .metrics import MetricsRow, MetricsTable, percentile_nearest_rank
+from .metrics import MetricsRow, percentile_nearest_rank
 from .topology import (
     Layer,
     NodeId,
@@ -96,6 +95,10 @@ class ScenarioConfig:
     cloud_extra_ms: float = 50.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if min(self.n_terminals, self.n_fog, self.n_fnc) < 0:
             raise ValueError("node counts must be >= 0")
         if self.sim_duration_ms <= 0:
@@ -244,7 +247,6 @@ class _Terminal:
 
 @dataclass
 class _ReplyWindow:
-    issued_at: SimTime
     results: list[JobResult] = field(default_factory=list)
     last_arrival: SimTime | None = None
     closed: bool = False
@@ -253,7 +255,6 @@ class _ReplyWindow:
 @dataclass
 class _Fnc:
     node: NodeId
-    location: Point2D
     registry: Registry
     pending: dict = field(default_factory=dict)
 
@@ -322,8 +323,6 @@ class Simulation:
             config.n_fnc,
             config.arena_diameter_m,
             self.rng,
-            capacity=config.capacity,
-            service_rate=config.service_rate_per_hour / 3600.0,
         )
         self.static_location: dict[NodeId, Point2D] = {
             r.node: r.location for r in self.records
@@ -334,7 +333,6 @@ class Simulation:
         self.messages_total = 0
         self._msg_counts: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
-        self._flow_terminal: dict[str, NodeId] = {}
         self._request_seq: dict[NodeId, int] = {}
         self._requests_by_id: dict[str, ServiceRequest] = {}
         self._request_fnc: dict[str, NodeId] = {}
@@ -353,9 +351,7 @@ class Simulation:
         self.fncs: dict[NodeId, _Fnc] = {}
         for rec in self.records:
             if rec.node.layer == Layer.FNC.value:
-                self.fncs[rec.node] = _Fnc(
-                    rec.node, rec.location, Registry(config.report_period_ms)
-                )
+                self.fncs[rec.node] = _Fnc(rec.node, Registry())
         for fnc in self.fncs.values():
             for host in self.piles.values():
                 report_status(fnc.registry, self._status_of(host, 0.0))
@@ -390,7 +386,6 @@ class Simulation:
                 self.piles[nearest].create_flow(flow_id)
                 term.serving_pile = nearest
                 term.flow_id = flow_id
-                self._flow_terminal[flow_id] = term.node
 
         self._schedule_initial_events()
         self._ran = False
@@ -613,7 +608,7 @@ class Simulation:
                 if self.static_location[p].distance_to(request.origin)
                 <= cfg.query_range_m
             )
-            term.windows[request.request_id] = _ReplyWindow(issued_at=self.queue.clock)
+            term.windows[request.request_id] = _ReplyWindow()
             for _, pile in in_range:
                 self.send_wireless(node, pile, request, request.request_id)
             self.queue.schedule_in(
@@ -703,7 +698,7 @@ class Simulation:
     # ------------------------------------------------------- traditional
     def _broadcast_at_pile(self, pile_node: NodeId, request: ServiceRequest):
         host = self.piles[pile_node]
-        if not host.pile.available or host.pile.queue_len >= host.capacity:
+        if host.pile.queue_len >= host.capacity:
             return
         self.queue.schedule_in(
             self.config.compute_ms, pile_node,
@@ -878,19 +873,3 @@ class Simulation:
 
 def run_scenario(config: ScenarioConfig) -> Simulation:
     return Simulation(config).run()
-
-
-def run_traditional(config: ScenarioConfig) -> MetricsTable:
-    """Run one traditional-mode simulation and return its one-row table."""
-    sim = run_scenario(replace(config, architecture="traditional"))
-    table = MetricsTable()
-    table.append(sim.summary_row())
-    return table
-
-
-def run_coordinated(config: ScenarioConfig) -> MetricsTable:
-    """Run one coordinated-mode simulation and return its one-row table."""
-    sim = run_scenario(replace(config, architecture="coordinated"))
-    table = MetricsTable()
-    table.append(sim.summary_row())
-    return table

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 from .engine import RngStream, SimTime
 from .errors import StaleReport
@@ -94,7 +93,6 @@ class NodeRecord:
 
     node: NodeId
     location: Point2D
-    resources: ResourceProfile
 
 
 class Registry:
@@ -104,8 +102,7 @@ class Registry:
     re-report is a no-op and an older one raises StaleReport.
     """
 
-    def __init__(self, report_period: SimTime = 1000.0):
-        self.report_period = report_period
+    def __init__(self):
         self._entries: dict[NodeId, NodeStatus] = {}
 
     def __len__(self) -> int:
@@ -119,9 +116,6 @@ class Registry:
 
     def entries(self) -> list[NodeStatus]:
         return sorted(self._entries.values(), key=lambda s: s.node)
-
-    def snapshot(self) -> dict[NodeId, NodeStatus]:
-        return dict(self._entries)
 
 
 def report_status(registry: Registry, status: NodeStatus) -> Registry:
@@ -179,8 +173,6 @@ def place_nodes(
     n_fnc: int,
     arena_diameter_m: float,
     rng: RngStream,
-    capacity: int = 64,
-    service_rate: float = 0.01,
 ) -> list[NodeRecord]:
     """Place every node for a run; always includes exactly one cloud record.
 
@@ -195,22 +187,15 @@ def place_nodes(
         raise ValueError("arena diameter must be > 0")
     radius = arena_diameter_m / 2.0
     records: list[NodeRecord] = []
-    default_profile = ResourceProfile(capacity=capacity, service_rate=service_rate)
     for i in range(n_terminals):
         node = terminal_id(i)
         x, y = rng.child(str(node)).disk_point(0.0, 0.0, radius)
-        records.append(NodeRecord(node, Point2D(x, y), default_profile))
+        records.append(NodeRecord(node, Point2D(x, y)))
     for i in range(n_fog):
         node = fog_id(i)
         x, y = rng.child(str(node)).disk_point(0.0, 0.0, radius)
-        records.append(NodeRecord(node, Point2D(x, y), default_profile))
+        records.append(NodeRecord(node, Point2D(x, y)))
     for k in range(n_fnc):
-        records.append(
-            NodeRecord(fnc_id(k), sector_centroid(k, n_fnc, radius), default_profile)
-        )
-    records.append(NodeRecord(cloud_id(), Point2D(0.0, 0.0), default_profile))
+        records.append(NodeRecord(fnc_id(k), sector_centroid(k, n_fnc, radius)))
+    records.append(NodeRecord(cloud_id(), Point2D(0.0, 0.0)))
     return records
-
-
-def records_by_layer(records: Iterable[NodeRecord], layer: Layer) -> list[NodeRecord]:
-    return [r for r in records if r.node.layer == layer.value]

@@ -1,29 +1,18 @@
-"""Candidate filtering, dispatch, aggregation, and app deployment."""
+"""Candidate filtering, dispatch, and aggregation."""
 
 import random
 
 import pytest
 
-from gridfog.coordinator import (
-    ApplicationImage,
-    PendingRequest,
-    aggregate,
-    deploy_application,
-    dispatch,
-    filter_candidates,
-)
-from gridfog.engine import RngStream
+from gridfog.coordinator import PendingRequest, aggregate, dispatch, filter_candidates
 from gridfog.errors import EmptyResultSet, NoEligibleNodes
-from gridfog.fognode import session_flow_template
 from gridfog.messages import JobResult, PileOffer, ServiceRequest
 from gridfog.topology import (
-    Layer,
     NodeStatus,
     Point2D,
     Registry,
     ResourceProfile,
     fog_id,
-    place_nodes,
     report_status,
     terminal_id,
 )
@@ -54,26 +43,6 @@ def register_pile(reg, ordinal, x, y, queue_len=0, capacity=64, t=0.0):
 
 def offer():
     return PileOffer(Point2D(0, 0), 0.0)
-
-
-def test_deploy_covers_target_layer():
-    records = place_nodes(0, 10, 0, 2000.0, RngStream(1))
-    image = ApplicationImage("charge", session_flow_template(), Layer.FOG)
-    placement = deploy_application(image, records)
-    assert len(placement) == 10
-    assert all(node.layer == "fog" for node in placement)
-
-
-def test_deploy_without_matches_is_empty():
-    records = place_nodes(5, 0, 0, 2000.0, RngStream(1))
-    image = ApplicationImage("charge", session_flow_template(), Layer.FOG)
-    assert deploy_application(image, records) == {}
-
-
-def test_deploy_idempotent():
-    records = place_nodes(0, 6, 2, 2000.0, RngStream(2))
-    image = ApplicationImage("charge", session_flow_template(), Layer.FOG)
-    assert deploy_application(image, records) == deploy_application(image, records)
 
 
 def test_single_nearby_pile_is_candidate():

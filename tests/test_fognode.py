@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gridfog.errors import CapacityExceeded, CyclicFlow, FlowNotResident, PileUnavailable
+from gridfog.errors import CapacityExceeded, CyclicFlow, FlowNotResident
 from gridfog.fognode import (
     DataflowGraph,
     FlowInstance,
@@ -34,8 +34,8 @@ def request_at(x, y, range_m=1000.0):
     )
 
 
-def pile_at(ordinal, x, y, queue_len=0, available=True):
-    return PileState(fog_id(ordinal), Point2D(x, y), queue_len=queue_len, available=available)
+def pile_at(ordinal, x, y, queue_len=0):
+    return PileState(fog_id(ordinal), Point2D(x, y), queue_len=queue_len)
 
 
 def test_chain_translates_in_order():
@@ -98,11 +98,6 @@ def test_score_wait_term_uses_hours():
     result = evaluate_charging_request(request_at(0.0, 0.0), pile, (0.0, 2.0))
     assert result.score == pytest.approx(1.0)
     assert result.payload.expected_wait_ms == pytest.approx(0.5 * 3_600_000.0)
-
-
-def test_unavailable_pile_refuses():
-    with pytest.raises(PileUnavailable):
-        evaluate_charging_request(request_at(0, 0), pile_at(0, 1, 1, available=False), (1, 0))
 
 
 def test_zero_weights_rejected():

@@ -83,6 +83,20 @@ def test_non_numeric_value_is_invalid(tmp_path):
     assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize("line", [
+    "sim_duration_ms = nan", "query_range_m = nan", "request_rate = inf",
+])
+def test_non_finite_value_is_invalid(tmp_path, line):
+    # NaN slips past every ordered comparison, and an infinite request rate
+    # would make the arrival loop spin forever, so both must fail at load.
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"n_fnc = 2\n{line}\n")
+    with pytest.raises(InvalidValue) as err:
+        load_config(path)
+    assert err.value.line_no == 2
+    assert err.value.key == line.split()[0]
+
+
 def test_unknown_key_is_rejected_with_line_number(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n_fnc = 2\nwarp_factor = 9\n")

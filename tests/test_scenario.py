@@ -214,6 +214,22 @@ def test_queue_grows_by_one_per_completed_request():
         assert total_queued == completed
 
 
+def test_full_pile_ignores_broadcasts():
+    # With capacity 1 a chosen pile is full for the rest of the run (the
+    # drain gap of 120 s exceeds it), so it must not answer any request
+    # issued after the chooser's reply window closed.
+    for seed in (1, 2, 3):
+        sim = run_scenario(ScenarioConfig(seed=seed, architecture="traditional",
+                                          capacity=1))
+        window = sim.config.aggregation_timeout_ms
+        done = [o for o in sim.outcomes if o.completed]
+        assert len(done) >= 5
+        for a in done:
+            for b in done:
+                if b.issued_at > a.issued_at + window:
+                    assert b.chosen != a.chosen
+
+
 def test_latencies_are_positive_and_bounded():
     for arch in ("traditional", "coordinated"):
         sim = run_scenario(small_config(architecture=arch))

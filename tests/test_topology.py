@@ -16,7 +16,6 @@ from gridfog.topology import (
     fog_id,
     nodes_within,
     place_nodes,
-    records_by_layer,
     report_status,
     sector_centroid,
     sector_index,
@@ -45,7 +44,7 @@ def test_default_counts_give_33_records():
     rng = RngStream(1)
     records = place_nodes(20, 10, 2, 2000.0, rng)
     assert len(records) == 33
-    assert len(records_by_layer(records, Layer.CLOUD)) == 1
+    assert [r.node.layer for r in records].count("cloud") == 1
     for rec in records:
         if rec.node.layer in ("terminal", "fog"):
             assert math.hypot(rec.location.x, rec.location.y) <= 1000.0 + 1e-9
@@ -59,7 +58,7 @@ def test_zero_counts_still_place_cloud():
 
 def test_four_fnc_sector_centroids():
     records = place_nodes(0, 0, 4, 2000.0, RngStream(1))
-    fncs = records_by_layer(records, Layer.FNC)
+    fncs = [r for r in records if r.node.layer == "fnc"]
     assert len(fncs) == 4
     for k, rec in enumerate(sorted(fncs, key=lambda r: r.node)):
         ex, ey = numeric_sector_centroid(k, 4, 1000.0)
@@ -123,19 +122,19 @@ def test_newer_report_replaces():
 def test_stale_report_rejected_and_registry_unchanged():
     reg = Registry()
     report_status(reg, status(fog_id(3), 10.0, 0.0, 5.0))
-    before = reg.snapshot()
+    before = reg.entries()
     with pytest.raises(StaleReport):
         report_status(reg, status(fog_id(3), 99.0, 0.0, 4.0))
-    assert reg.snapshot() == before
+    assert reg.entries() == before
 
 
 def test_identical_rereport_is_noop():
     reg = Registry()
     s = status(fog_id(1), 1.0, 2.0, 3.0)
     report_status(reg, s)
-    before = reg.snapshot()
+    before = reg.entries()
     report_status(reg, s)
-    assert reg.snapshot() == before
+    assert reg.entries() == before
 
 
 def test_nodes_within_zero_range():

@@ -47,6 +47,7 @@ from .topology import (
     NodeId,
     NodeRecord,
     NodeStatus,
+    PileIndex,
     Point2D,
     Registry,
     ResourceProfile,
@@ -58,6 +59,15 @@ from .topology import (
 )
 
 ARCHITECTURES = ("traditional", "coordinated")
+
+# Delays, rates and counts that a negative value would turn into events
+# scheduled in the past or a failure deep inside a run.
+_NON_NEGATIVE = (
+    "wireless_base_ms", "wireless_prop_ms_per_m", "wireless_air_ms",
+    "backhaul_base_ms", "backhaul_prop_ms_per_m", "proc_ms_per_unit",
+    "compute_ms", "fnc_service_ms", "cloud_extra_ms", "mobility_speed_mps",
+    "max_migration_attempts",
+)
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,13 @@ class ScenarioConfig:
             raise ValueError("aggregation_timeout_ms must be > 0")
         if self.report_period_ms <= 0 or self.mobility_step_ms <= 0:
             raise ValueError("periods must be > 0")
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.t_upper_ms <= 0:
+            raise ValueError("t_upper_ms must be > 0")
+        if self.w_dist < 0 or self.w_wait < 0 or (self.w_dist == 0 and self.w_wait == 0):
+            raise ValueError("weights must be >= 0 and not both zero")
         if self.architecture == "coordinated" and self.n_fnc < 1:
             raise ValueError("coordinated mode needs at least 1 FNC")
 
@@ -337,16 +354,17 @@ class Simulation:
         self._requests_by_id: dict[str, ServiceRequest] = {}
         self._request_fnc: dict[str, NodeId] = {}
 
+        pile_records = [rec for rec in self.records if rec.node.layer == Layer.FOG.value]
         self.piles: dict[NodeId, FogNode] = {}
-        for rec in self.records:
-            if rec.node.layer == Layer.FOG.value:
-                pile = PileState(
-                    rec.node, rec.location, queue_len=0,
-                    service_rate=config.service_rate_per_hour,
-                )
-                self.piles[rec.node] = FogNode(
-                    pile, capacity=config.capacity, flow_template=session_flow_template()
-                )
+        for rec in pile_records:
+            pile = PileState(
+                rec.node, rec.location, queue_len=0,
+                service_rate=config.service_rate_per_hour,
+            )
+            self.piles[rec.node] = FogNode(
+                pile, capacity=config.capacity, flow_template=session_flow_template()
+            )
+        self.pile_index = PileIndex(pile_records)
 
         self.fncs: dict[NodeId, _Fnc] = {}
         for rec in self.records:
@@ -379,7 +397,7 @@ class Simulation:
 
         if config.architecture == "coordinated":
             for term in self.terminals.values():
-                nearest = self._nearest_pile(self.terminals[term.node].mobility.position)
+                nearest = self.pile_index.nearest(term.mobility.position)
                 if nearest is None:
                     continue
                 flow_id = f"flow-{term.node}"
@@ -400,14 +418,6 @@ class Simulation:
             return Point2D(x, y)
 
         return draw
-
-    def _nearest_pile(self, point: Point2D) -> NodeId | None:
-        if not self.piles:
-            return None
-        return min(
-            self.piles,
-            key=lambda n: (self.static_location[n].distance_to(point), n),
-        )
 
     def _status_of(self, host: FogNode, at: SimTime) -> NodeStatus:
         return NodeStatus(
@@ -602,14 +612,8 @@ class Simulation:
             k = sector_index(term.mobility.position, cfg.n_fnc)
             self.send_wireless(node, fnc_id(k), request, request.request_id)
         else:
-            in_range = sorted(
-                (self.static_location[p].distance_to(request.origin), p)
-                for p in self.piles
-                if self.static_location[p].distance_to(request.origin)
-                <= cfg.query_range_m
-            )
             term.windows[request.request_id] = _ReplyWindow()
-            for _, pile in in_range:
+            for _, pile in self.pile_index.within(request.origin, cfg.query_range_m):
                 self.send_wireless(node, pile, request, request.request_id)
             self.queue.schedule_in(
                 cfg.aggregation_timeout_ms, node, _WindowClose(request.request_id)

@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import RngStream, SimTime
 from .errors import StaleReport
 
@@ -149,6 +151,50 @@ def nodes_within(
     ]
     hits.sort()
     return [node for _, node in hits]
+
+
+class PileIndex:
+    """Static pile positions, indexed once for range and nearest-pile queries.
+
+    numpy only narrows each query down to the piles worth an exact test.
+    Its distances may differ from ``Point2D.distance_to`` in the last bit,
+    so they are compared with a relative slack far above that, plus an
+    absolute one for distances in the subnormal range, where a relative
+    slack adds nothing.  ``Point2D.distance_to`` and a ``(distance, node)``
+    sort or min on the survivors then decide, so the answers equal those
+    of a scan over every pile.
+    """
+
+    _REL_SLACK = 1e-9
+    _ABS_SLACK = 1e-300  # m
+
+    def __init__(self, piles: list[NodeRecord]):
+        self._piles = list(piles)
+        # x + iy: one subtraction and one abs give every distance.
+        self._xy = np.array([complex(r.location.x, r.location.y) for r in self._piles],
+                            dtype=complex)
+
+    def _distances(self, point: Point2D) -> np.ndarray:
+        return np.abs(self._xy - complex(point.x, point.y))
+
+    def _exact(self, point: Point2D, d: np.ndarray, bound: float):
+        """``(distance, pile)`` for the piles whose ``d`` is not clearly above ``bound``."""
+        keep = d <= bound * (1.0 + self._REL_SLACK) + self._ABS_SLACK
+        for i in keep.nonzero()[0].tolist():
+            pile = self._piles[i]
+            yield pile.location.distance_to(point), pile.node
+
+    def within(self, center: Point2D, range_m: float) -> list[tuple[float, NodeId]]:
+        """``(distance, pile)`` for every pile within ``range_m`` of ``center``, sorted."""
+        d = self._distances(center)
+        return sorted(hit for hit in self._exact(center, d, range_m) if hit[0] <= range_m)
+
+    def nearest(self, point: Point2D) -> NodeId | None:
+        """The pile closest to ``point``, ties broken by NodeId; None without piles."""
+        if not self._piles:
+            return None
+        d = self._distances(point)
+        return min(self._exact(point, d, float(d[d.argmin()])))[1]
 
 
 def sector_index(point: Point2D, n_sectors: int) -> int:

@@ -97,6 +97,25 @@ def test_non_finite_value_is_invalid(tmp_path, line):
     assert err.value.key == line.split()[0]
 
 
+@pytest.mark.parametrize("lines", [
+    *([f"{key} = -1"] for key in (
+        "wireless_base_ms", "wireless_prop_ms_per_m", "wireless_air_ms",
+        "backhaul_base_ms", "backhaul_prop_ms_per_m", "proc_ms_per_unit",
+        "compute_ms", "fnc_service_ms", "cloud_extra_ms", "mobility_speed_mps",
+        "max_migration_attempts",
+    )),
+    ["t_upper_ms = 0"], ["w_dist = -1"], ["w_wait = -1"], ["w_dist = 0", "w_wait = 0"],
+])
+def test_bad_sign_is_invalid_at_its_line(tmp_path, lines):
+    # Each of these used to load and only fail mid-run, or never.
+    path = tmp_path / "bad.cfg"
+    path.write_text("n_fnc = 2\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InvalidValue) as err:
+        load_config(path)
+    assert err.value.line_no == 1 + len(lines)
+    assert err.value.key == lines[-1].split()[0]
+
+
 def test_unknown_key_is_rejected_with_line_number(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n_fnc = 2\nwarp_factor = 9\n")

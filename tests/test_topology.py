@@ -4,12 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gridfog.engine import RngStream
 from gridfog.errors import StaleReport
 from gridfog.topology import (
     Layer,
+    NodeRecord,
     NodeStatus,
+    PileIndex,
     Point2D,
     Registry,
     ResourceProfile,
@@ -187,3 +190,86 @@ def test_nodes_within_monotone_in_range():
         inner = set(nodes_within(reg, center, r1, Layer.FOG))
         outer = set(nodes_within(reg, center, r2, Layer.FOG))
         assert inner <= outer
+
+
+# PileIndex against the all-pile scans it replaced in the simulator.
+
+def scan_within(locations, center, range_m):
+    return sorted(
+        (loc.distance_to(center), node)
+        for node, loc in locations.items()
+        if loc.distance_to(center) <= range_m
+    )
+
+
+def scan_nearest(locations, point):
+    if not locations:
+        return None
+    return min(locations, key=lambda node: (locations[node].distance_to(point), node))
+
+
+def index_of(locations):
+    return PileIndex([NodeRecord(node, loc) for node, loc in locations.items()])
+
+
+coords = st.floats(-2000.0, 2000.0, allow_nan=False)
+points = st.builds(Point2D, coords, coords)
+
+
+@st.composite
+def pile_sets(draw):
+    """Piles at random points, or drawn from a few points so many coincide.
+
+    Ordinals are shuffled against insertion order, so a tie broken by index
+    position instead of by NodeId shows.
+    """
+    pool = draw(st.one_of(
+        st.lists(points, max_size=40),
+        st.lists(points, min_size=1, max_size=4).flatmap(
+            lambda few: st.lists(st.sampled_from(few), max_size=40)),
+    ))
+    ordinals = draw(st.permutations(range(len(pool))))
+    return {fog_id(i): p for i, p in zip(ordinals, pool)}
+
+
+@given(pile_sets(), points, st.floats(0.0, 6000.0))
+def test_pile_index_within_matches_scan(locations, center, range_m):
+    assert index_of(locations).within(center, range_m) == scan_within(locations, center, range_m)
+
+
+@given(pile_sets(), points, st.data())
+def test_pile_index_keeps_a_pile_exactly_at_range(locations, center, data):
+    if not locations:
+        return
+    node = data.draw(st.sampled_from(sorted(locations)))
+    range_m = locations[node].distance_to(center)
+    hits = index_of(locations).within(center, range_m)
+    assert (range_m, node) in hits
+    assert hits == scan_within(locations, center, range_m)
+
+
+@given(pile_sets(), points)
+def test_pile_index_range_below_every_distance_is_empty(locations, center):
+    closest = min((loc.distance_to(center) for loc in locations.values()), default=1.0)
+    range_m = math.nextafter(closest, -math.inf)
+    assert index_of(locations).within(center, range_m) == []
+    assert scan_within(locations, center, range_m) == []
+
+
+@given(pile_sets(), points)
+def test_pile_index_nearest_matches_scan(locations, point):
+    assert index_of(locations).nearest(point) == scan_nearest(locations, point)
+
+
+def test_pile_index_coincident_piles_tie_by_node():
+    here = Point2D(3.0, 4.0)
+    locations = {fog_id(7): here, fog_id(2): here, fog_id(5): Point2D(30.0, 40.0)}
+    index = index_of(locations)
+    assert index.nearest(Point2D(0.0, 0.0)) == fog_id(2)
+    assert index.within(Point2D(0.0, 0.0), 5.0) == [(5.0, fog_id(2)), (5.0, fog_id(7))]
+
+
+def test_pile_index_without_piles():
+    index = PileIndex([])
+    assert index.within(Point2D(0.0, 0.0), 1e9) == []
+    assert index.nearest(Point2D(0.0, 0.0)) is None

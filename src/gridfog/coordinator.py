@@ -23,7 +23,7 @@ def filter_candidates(registry: Registry, request: ServiceRequest) -> list[NodeI
     eligible = [
         node
         for node in in_range
-        if registry.get(node).resources.queue_len < registry.get(node).resources.capacity
+        if (load := registry.get(node).resources).queue_len < load.capacity
     ]
     if not eligible:
         raise NoEligibleNodes(request.request_id)

@@ -14,6 +14,7 @@ contend.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 from .coordinator import PendingRequest, aggregate, dispatch, filter_candidates
@@ -183,12 +184,15 @@ def step_mobility(
     if draw_waypoint is None:
         return MobilityState(arrived, (0.0, 0.0), arrived)
     target = draw_waypoint()
-    dist = arrived.distance_to(target)
-    pace = v if speed is None else speed
+    return MobilityState(arrived, _heading(arrived, target, v if speed is None else speed), target)
+
+
+def _heading(start: Point2D, target: Point2D, speed: float) -> tuple[float, float]:
+    """Velocity from ``start`` towards ``target`` at ``speed``; zero if they coincide."""
+    dist = start.distance_to(target)
     if dist == 0.0:
-        return MobilityState(arrived, (0.0, 0.0), target)
-    vel = (pace * (target.x - arrived.x) / dist, pace * (target.y - arrived.y) / dist)
-    return MobilityState(arrived, vel, target)
+        return (0.0, 0.0)
+    return (speed * (target.x - start.x) / dist, speed * (target.y - start.y) / dist)
 
 
 @dataclass
@@ -255,6 +259,8 @@ class _WirelessChannel:
 class _Terminal:
     node: NodeId
     mobility: MobilityState
+    draw_waypoint: Callable[[], Point2D]
+    requests_issued: int = 0
     serving_pile: NodeId | None = None
     flow_id: str | None = None
     ewma_ms: float | None = None
@@ -266,7 +272,6 @@ class _Terminal:
 class _ReplyWindow:
     results: list[JobResult] = field(default_factory=list)
     last_arrival: SimTime | None = None
-    closed: bool = False
 
 
 @dataclass
@@ -276,33 +281,31 @@ class _Fnc:
     pending: dict = field(default_factory=dict)
 
 
-# Internal tick payloads.
+# Internal payloads; each one acts on its event's target.
 @dataclass(frozen=True)
 class _RequestTick:
-    terminal: NodeId
+    pass
 
 
 @dataclass(frozen=True)
 class _MobilityTick:
-    terminal: NodeId
+    pass
 
 
 @dataclass(frozen=True)
 class _ReportTick:
-    pile: NodeId
+    pass
 
 
 @dataclass(frozen=True)
 class _DrainTick:
-    pile: NodeId
+    pass
 
 
 @dataclass(frozen=True)
 class _ComputeDone:
     request: ServiceRequest
-    pile: NodeId
     reply_to: NodeId
-    wired_reply: bool
 
 
 @dataclass(frozen=True)
@@ -350,7 +353,6 @@ class Simulation:
         self.messages_total = 0
         self._msg_counts: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
-        self._request_seq: dict[NodeId, int] = {}
         self._requests_by_id: dict[str, ServiceRequest] = {}
         self._request_fnc: dict[str, NodeId] = {}
 
@@ -375,24 +377,13 @@ class Simulation:
                 report_status(fnc.registry, self._status_of(host, 0.0))
 
         self.terminals: dict[NodeId, _Terminal] = {}
-        self._drawers: dict[NodeId, object] = {}
         for rec in self.records:
             if rec.node.layer == Layer.TERMINAL.value:
-                draw = self._drawers.setdefault(rec.node, self._waypoint_drawer(rec.node))
-                start = rec.location
+                draw = self._waypoint_drawer(rec.node)
                 waypoint = draw()
-                dist = start.distance_to(waypoint)
-                speed = config.mobility_speed_mps
-                vel = (
-                    (0.0, 0.0)
-                    if dist == 0
-                    else (
-                        speed * (waypoint.x - start.x) / dist,
-                        speed * (waypoint.y - start.y) / dist,
-                    )
-                )
+                heading = _heading(rec.location, waypoint, config.mobility_speed_mps)
                 self.terminals[rec.node] = _Terminal(
-                    rec.node, MobilityState(start, vel, waypoint)
+                    rec.node, MobilityState(rec.location, heading, waypoint), draw
                 )
 
         if config.architecture == "coordinated":
@@ -405,6 +396,7 @@ class Simulation:
                 term.serving_pile = nearest
                 term.flow_id = flow_id
 
+        self._routes = self._ROUTES[config.architecture]
         self._schedule_initial_events()
         self._ran = False
 
@@ -439,18 +431,18 @@ class Simulation:
                 mean_gap = 60_000.0 / cfg.request_rate
                 t = arrivals.exponential(mean_gap)
                 while t < cfg.sim_duration_ms:
-                    self.queue.schedule(t, node, _RequestTick(node))
+                    self.queue.schedule(t, node, _RequestTick())
                     t += arrivals.exponential(mean_gap)
             if cfg.mobility_step_ms <= cfg.sim_duration_ms:
-                self.queue.schedule(cfg.mobility_step_ms, node, _MobilityTick(node))
+                self.queue.schedule(cfg.mobility_step_ms, node, _MobilityTick())
         if cfg.architecture == "coordinated" and self.fncs:
             for node in self.piles:
                 if cfg.report_period_ms <= cfg.sim_duration_ms:
-                    self.queue.schedule(cfg.report_period_ms, node, _ReportTick(node))
+                    self.queue.schedule(cfg.report_period_ms, node, _ReportTick())
         drain_gap = 3_600_000.0 / cfg.service_rate_per_hour
         for node in self.piles:
             if drain_gap <= cfg.sim_duration_ms:
-                self.queue.schedule(drain_gap, node, _DrainTick(node))
+                self.queue.schedule(drain_gap, node, _DrainTick())
 
     # ---------------------------------------------------------- plumbing
     def position_of(self, node: NodeId) -> Point2D:
@@ -509,93 +501,48 @@ class Simulation:
         return self
 
     def _handle(self, event):
-        payload = event.payload
-        if isinstance(payload, _RequestTick):
-            self._issue_request(payload.terminal)
-        elif isinstance(payload, _MobilityTick):
-            self._step_terminal(payload.terminal)
-        elif isinstance(payload, _ReportTick):
-            self._report_pile(payload.pile)
-        elif isinstance(payload, _DrainTick):
-            self._drain_pile(payload.pile)
-        elif isinstance(payload, ServiceRequest):
-            if event.target in self.fncs:
-                self.queue.schedule_in(
-                    self.config.fnc_service_ms, event.target, _FncProcess(payload)
-                )
-            else:
-                self._broadcast_at_pile(event.target, payload)
-        elif isinstance(payload, _FncProcess):
-            self._fnc_process(event.target, payload.request)
-        elif isinstance(payload, JobDispatch):
-            self._dispatch_at_pile(event.target, payload)
-        elif isinstance(payload, _ComputeDone):
-            self._compute_done(payload)
-        elif isinstance(payload, JobResult):
-            if event.target in self.fncs:
-                self._result_at_fnc(event.target, payload)
-            else:
-                self._reply_at_terminal(event.target, payload)
-        elif isinstance(payload, _AggTimeout):
-            self._agg_timeout(event.target, payload.request_id)
-        elif isinstance(payload, _WindowClose):
-            self._window_close(event.target, payload.request_id)
-        elif isinstance(payload, Decision):
-            self._decision_at_terminal(event.target, payload)
-        elif isinstance(payload, FailureNotice):
-            self._failure_at_terminal(event.target, payload)
-        elif isinstance(payload, StatusReportMsg):
-            report_status(self.fncs[event.target].registry, payload.status)
-        elif isinstance(payload, LatencyComplaint):
-            self._complaint_at_pile(event.target, payload)
-        elif isinstance(payload, StartMigration):
-            self._start_migration_at_target(event.target, payload)
-        elif isinstance(payload, MigrationResponse):
-            self._migration_response_at_source(event.target, payload)
-        elif isinstance(payload, ObjectStateMsg):
-            self._object_state_at_target(event.target, payload)
-        elif isinstance(payload, MigrationAck):
-            self._migration_ack_at_source(event.target, payload)
-        else:
-            raise TypeError(f"unhandled payload {type(payload).__name__}")
+        route = self._routes.get(type(event.payload))
+        if route is None:
+            raise TypeError(f"unhandled payload {type(event.payload).__name__}")
+        route(self, event.target, event.payload)
 
     # ------------------------------------------------------ periodic work
-    def _step_terminal(self, node: NodeId):
+    def _step_terminal(self, node: NodeId, tick: _MobilityTick):
         term = self.terminals[node]
         cfg = self.config
         term.mobility = step_mobility(
             term.mobility,
             cfg.mobility_step_ms,
-            draw_waypoint=self._drawers[node],
+            draw_waypoint=term.draw_waypoint,
             speed=cfg.mobility_speed_mps,
         )
         nxt = self.queue.clock + cfg.mobility_step_ms
         if nxt <= cfg.sim_duration_ms:
-            self.queue.schedule(nxt, node, _MobilityTick(node))
+            self.queue.schedule(nxt, node, tick)
 
-    def _report_pile(self, node: NodeId):
+    def _report_pile(self, node: NodeId, tick: _ReportTick):
         host = self.piles[node]
         status = self._status_of(host, self.queue.clock)
         for fnc in self.fncs.values():
             self.send_wired(node, fnc.node, StatusReportMsg(status))
         nxt = self.queue.clock + self.config.report_period_ms
         if nxt <= self.config.sim_duration_ms:
-            self.queue.schedule(nxt, node, _ReportTick(node))
+            self.queue.schedule(nxt, node, tick)
 
-    def _drain_pile(self, node: NodeId):
+    def _drain_pile(self, node: NodeId, tick: _DrainTick):
         host = self.piles[node]
         if host.pile.queue_len > 0:
             host.pile.queue_len -= 1
         nxt = self.queue.clock + 3_600_000.0 / self.config.service_rate_per_hour
         if nxt <= self.config.sim_duration_ms:
-            self.queue.schedule(nxt, node, _DrainTick(node))
+            self.queue.schedule(nxt, node, tick)
 
     # --------------------------------------------------------- requesting
-    def _issue_request(self, node: NodeId):
+    def _issue_request(self, node: NodeId, tick: _RequestTick):
         cfg = self.config
         term = self.terminals[node]
-        seq = self._request_seq.get(node, 0)
-        self._request_seq[node] = seq + 1
+        seq = term.requests_issued
+        term.requests_issued += 1
         request = ServiceRequest(
             request_id=f"{node}/r{seq}",
             requester=node,
@@ -620,7 +567,11 @@ class Simulation:
             )
 
     # ------------------------------------------------------- coordinated
-    def _fnc_process(self, fnc_node: NodeId, request: ServiceRequest):
+    def _request_at_fnc(self, fnc_node: NodeId, request: ServiceRequest):
+        self.queue.schedule_in(self.config.fnc_service_ms, fnc_node, _FncProcess(request))
+
+    def _fnc_process(self, fnc_node: NodeId, process: _FncProcess):
+        request = process.request
         fnc = self.fncs[fnc_node]
         self._request_fnc[request.request_id] = fnc_node
         try:
@@ -642,18 +593,15 @@ class Simulation:
     def _dispatch_at_pile(self, pile_node: NodeId, job: JobDispatch):
         request = self._requests_by_id[job.request_id]
         fnc_node = self._request_fnc[job.request_id]
-        self.queue.schedule_in(
-            self.config.compute_ms, pile_node,
-            _ComputeDone(request, pile_node, fnc_node, wired_reply=True),
-        )
+        self.queue.schedule_in(self.config.compute_ms, pile_node, _ComputeDone(request, fnc_node))
 
-    def _compute_done(self, done: _ComputeDone):
-        host = self.piles[done.pile]
-        result = evaluate_charging_request(done.request, host.pile, self.config.weights)
-        if done.wired_reply:
-            self.send_wired(done.pile, done.reply_to, result, done.request.request_id)
-        else:
-            self.send_wireless(done.pile, done.reply_to, result, done.request.request_id)
+    def _evaluate(self, pile_node: NodeId, done: _ComputeDone) -> JobResult:
+        host = self.piles[pile_node]
+        return evaluate_charging_request(done.request, host.pile, self.config.weights)
+
+    def _reply_to_fnc(self, pile_node: NodeId, done: _ComputeDone):
+        result = self._evaluate(pile_node, done)
+        self.send_wired(pile_node, done.reply_to, result, done.request.request_id)
 
     def _result_at_fnc(self, fnc_node: NodeId, result: JobResult):
         fnc = self.fncs[fnc_node]
@@ -664,7 +612,8 @@ class Simulation:
         if pending.complete():
             self._decide(fnc, pending)
 
-    def _agg_timeout(self, fnc_node: NodeId, request_id: str):
+    def _agg_timeout(self, fnc_node: NodeId, timeout: _AggTimeout):
+        request_id = timeout.request_id
         fnc = self.fncs[fnc_node]
         pending = fnc.pending.get(request_id)
         if pending is None:
@@ -699,27 +648,32 @@ class Simulation:
         outcome = self._msg_counts[notice.request_id]
         outcome.failure = notice.reason
 
+    def _report_at_fnc(self, fnc_node: NodeId, msg: StatusReportMsg):
+        report_status(self.fncs[fnc_node].registry, msg.status)
+
     # ------------------------------------------------------- traditional
     def _broadcast_at_pile(self, pile_node: NodeId, request: ServiceRequest):
         host = self.piles[pile_node]
         if host.pile.queue_len >= host.capacity:
             return
         self.queue.schedule_in(
-            self.config.compute_ms, pile_node,
-            _ComputeDone(request, pile_node, request.requester, wired_reply=False),
+            self.config.compute_ms, pile_node, _ComputeDone(request, request.requester)
         )
+
+    def _reply_to_terminal(self, pile_node: NodeId, done: _ComputeDone):
+        result = self._evaluate(pile_node, done)
+        self.send_wireless(pile_node, done.reply_to, result, done.request.request_id)
 
     def _reply_at_terminal(self, node: NodeId, result: JobResult):
         window = self.terminals[node].windows.get(result.request_id)
-        if window is None or window.closed:
-            return
+        if window is None:
+            return  # arrived after the reply window closed
         window.results.append(result)
         window.last_arrival = self.queue.clock
 
-    def _window_close(self, node: NodeId, request_id: str):
-        term = self.terminals[node]
-        window = term.windows[request_id]
-        window.closed = True
+    def _window_close(self, node: NodeId, close: _WindowClose):
+        request_id = close.request_id
+        window = self.terminals[node].windows.pop(request_id)
         outcome = self._msg_counts[request_id]
         if window.results:
             decision = aggregate(request_id, window.results, window.last_arrival)
@@ -733,8 +687,6 @@ class Simulation:
     # --------------------------------------------------------- migration
     def _after_completion(self, node: NodeId, outcome: RequestOutcome):
         cfg = self.config
-        if cfg.architecture != "coordinated":
-            return
         term = self.terminals[node]
         if term.flow_id is None:
             return
@@ -852,6 +804,39 @@ class Simulation:
         self._run_migration_step(
             msg.flow_id, session.on_ack(msg.ok, msg.bounced_state, msg.bounced_pending)
         )
+
+    # Per architecture, the handler of each payload type at its event's target.
+    _ROUTES = {
+        "traditional": {
+            _RequestTick: _issue_request,
+            _MobilityTick: _step_terminal,
+            _DrainTick: _drain_pile,
+            ServiceRequest: _broadcast_at_pile,
+            _ComputeDone: _reply_to_terminal,
+            JobResult: _reply_at_terminal,
+            _WindowClose: _window_close,
+        },
+        "coordinated": {
+            _RequestTick: _issue_request,
+            _MobilityTick: _step_terminal,
+            _ReportTick: _report_pile,
+            _DrainTick: _drain_pile,
+            ServiceRequest: _request_at_fnc,
+            _FncProcess: _fnc_process,
+            JobDispatch: _dispatch_at_pile,
+            _ComputeDone: _reply_to_fnc,
+            JobResult: _result_at_fnc,
+            _AggTimeout: _agg_timeout,
+            Decision: _decision_at_terminal,
+            FailureNotice: _failure_at_terminal,
+            StatusReportMsg: _report_at_fnc,
+            LatencyComplaint: _complaint_at_pile,
+            StartMigration: _start_migration_at_target,
+            MigrationResponse: _migration_response_at_source,
+            ObjectStateMsg: _object_state_at_target,
+            MigrationAck: _migration_ack_at_source,
+        },
+    }
 
     # ------------------------------------------------------------ results
     def summary_row(self, run_id: str = "", swept_variable: str = "",

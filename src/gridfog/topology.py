@@ -145,9 +145,10 @@ def nodes_within(
     if range_m < 0:
         raise ValueError("range_m must be >= 0")
     hits = [
-        (status.location.distance_to(center), status.node)
+        (d, status.node)
         for status in registry._entries.values()
-        if status.node.layer == layer.value and status.location.distance_to(center) <= range_m
+        if status.node.layer == layer.value
+        and (d := status.location.distance_to(center)) <= range_m
     ]
     hits.sort()
     return [node for _, node in hits]

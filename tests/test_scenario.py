@@ -250,6 +250,24 @@ def test_traditional_decides_within_the_reply_window():
             assert o.latency_ms <= sim.config.aggregation_timeout_ms + 1e-9
 
 
+def test_traditional_run_leaves_no_reply_window_open():
+    sim = run_scenario(small_config(architecture="traditional"))
+    assert sim.outcomes
+    assert all(not term.windows for term in sim.terminals.values())
+
+
+class _Stray:
+    """A payload that no architecture routes."""
+
+
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+def test_unrouted_payload_raises_naming_its_type(architecture):
+    sim = Simulation(small_config(architecture=architecture))
+    sim.queue.schedule(0.0, next(iter(sim.terminals)), _Stray())
+    with pytest.raises(TypeError, match="_Stray"):
+        sim.run()
+
+
 def test_summary_row_is_internally_consistent():
     sim = run_scenario(small_config(architecture="coordinated",
                                     query_range_m=1.0))

@@ -4,7 +4,6 @@ from .engine import EventQueue, LatencyModel, RngStream, SimEvent, SimTime, link
 from .errors import (
     CapacityExceeded,
     ConfigError,
-    CyclicFlow,
     EmptyResultSet,
     FlowNotResident,
     GridFogError,

@@ -60,7 +60,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    series = emit_plot_data(parse_csv(args.input))
+    try:
+        table = parse_csv(args.input)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    series = emit_plot_data(table)
     header = ["architecture", "swept_value", "mean_latency_ms",
               "std_latency_ms", "repetitions"]
     rows = []
@@ -86,6 +91,13 @@ def _cmd_plot_data(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridfog",
@@ -107,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="which variable to sweep")
     sweep.add_argument("--config", help="path to a key = value config file")
     sweep.add_argument("--seed", type=int, help="override the base seed")
-    sweep.add_argument("--reps", type=int, default=10,
+    sweep.add_argument("--reps", type=positive_int, default=10,
                        help="repetitions per sweep value")
     sweep.add_argument("--out", default="sweep.csv", help="metrics CSV path")
     sweep.set_defaults(func=_cmd_sweep)

@@ -21,10 +21,6 @@ class EmptyResultSet(GridFogError):
     """Aggregation was asked to decide with no results at hand."""
 
 
-class CyclicFlow(GridFogError):
-    """A dataflow graph contains a cycle."""
-
-
 class FlowNotResident(GridFogError):
     """The named flow is not hosted on this node."""
 

@@ -1,7 +1,7 @@
-"""Charging-pile behavior: request scoring, dataflow execution, migration.
+"""Charging-pile behavior: request scoring, session flows, migration.
 
 A pile evaluates dispatched charging queries against its own state, runs
-dataflow fragments as instruction sequences, and acts as source or target
+session flows through their operator chain, and acts as source or target
 of the flow migration protocol.  The protocol is a candidate-by-candidate
 handshake: pop the best remaining candidate, ask it to accept, ship a
 frozen state snapshot on accept, fall through to the next candidate on
@@ -15,95 +15,15 @@ import math
 from dataclasses import dataclass
 
 from .engine import SimTime
-from .errors import CapacityExceeded, CyclicFlow, FlowNotResident
+from .errors import CapacityExceeded, FlowNotResident
 from .messages import JobResult, PileOffer, ServiceRequest
 from .topology import NodeId, Point2D
 
 log = logging.getLogger(__name__)
 
-OP_KINDS = ("input", "process", "output")
-
-
-@dataclass(frozen=True)
-class DataflowGraph:
-    """Operators and the directed edges between them."""
-
-    operators: tuple[tuple[str, str], ...]
-    edges: tuple[tuple[str, str], ...]
-
-    def op_ids(self) -> list[str]:
-        return [op_id for op_id, _ in self.operators]
-
-    def kind_of(self, op_id: str) -> str:
-        for oid, kind in self.operators:
-            if oid == op_id:
-                return kind
-        raise KeyError(op_id)
-
-    def validate(self) -> None:
-        ids = self.op_ids()
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate operator ids")
-        known = set(ids)
-        for oid, kind in self.operators:
-            if kind not in OP_KINDS:
-                raise ValueError(f"unknown operator kind {kind!r}")
-        incoming = {oid: 0 for oid in ids}
-        outgoing = {oid: 0 for oid in ids}
-        for src, dst in self.edges:
-            if src not in known or dst not in known:
-                raise ValueError(f"edge endpoint missing: {src}->{dst}")
-            incoming[dst] += 1
-            outgoing[src] += 1
-        for oid, kind in self.operators:
-            if kind == "input" and incoming[oid] > 0:
-                raise ValueError(f"input operator {oid} has incoming edges")
-            if kind == "output" and outgoing[oid] > 0:
-                raise ValueError(f"output operator {oid} has outgoing edges")
-        translate_flow(self)  # raises CyclicFlow on cycles
-
-
-def session_flow_template() -> DataflowGraph:
+def session_flow_template() -> tuple[str, ...]:
     """The three-operator ingest/assess/act chain used per charging session."""
-    return DataflowGraph(
-        operators=(("ingest", "input"), ("assess", "process"), ("act", "output")),
-        edges=(("ingest", "assess"), ("assess", "act")),
-    )
-
-
-@dataclass(frozen=True)
-class Instruction:
-    op_id: str
-    kind: str
-
-
-def translate_flow(fragment: DataflowGraph) -> list[Instruction]:
-    """Topologically order a single-node fragment into an instruction list.
-
-    Ready operators are emitted in op_id order so the result is unique.
-    """
-    ids = fragment.op_ids()
-    indegree = {oid: 0 for oid in ids}
-    children: dict[str, list[str]] = {oid: [] for oid in ids}
-    for src, dst in fragment.edges:
-        indegree[dst] += 1
-        children[src].append(dst)
-    ready = sorted(oid for oid, d in indegree.items() if d == 0)
-    out: list[Instruction] = []
-    while ready:
-        oid = ready.pop(0)
-        out.append(Instruction(oid, fragment.kind_of(oid)))
-        changed = False
-        for nxt in children[oid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(out) != len(ids):
-        raise CyclicFlow(f"cycle among {sorted(set(ids) - {i.op_id for i in out})}")
-    return out
+    return ("ingest", "assess", "act")
 
 
 @dataclass(frozen=True)
@@ -118,9 +38,6 @@ class FlowState:
     def __post_init__(self):
         if self.cursor < 0:
             raise ValueError("cursor must be >= 0")
-
-    def states_map(self) -> dict[str, int]:
-        return dict(self.operator_states)
 
 
 @dataclass(frozen=True)
@@ -193,7 +110,7 @@ def evaluate_charging_request(
 
 
 class FlowInstance:
-    """A resident flow: translated instructions plus exactly-once intake.
+    """A resident flow: one counter per operator plus exactly-once intake.
 
     Events carry sequence numbers starting at 1.  ``offer`` drops anything
     at or below the cursor (already processed), buffers gaps, and processes
@@ -201,17 +118,12 @@ class FlowInstance:
     matter the arrival order.
     """
 
-    def __init__(self, flow_id: str, graph: DataflowGraph, home: NodeId,
+    def __init__(self, flow_id: str, operators: tuple[str, ...], home: NodeId,
                  operator_states: dict[str, int] | None = None, cursor: int = 0):
         self.flow_id = flow_id
-        self.graph = graph
         self.home = home
-        self.instructions = translate_flow(graph)
-        self.operator_states = (
-            dict(operator_states)
-            if operator_states is not None
-            else {i.op_id: 0 for i in self.instructions}
-        )
+        self.operator_states = (dict.fromkeys(operators, 0) if operator_states is None
+                                else dict(operator_states))
         self.cursor = cursor
         self.pending: dict[int, object] = {}
         self.processed_log: list[int] = []
@@ -226,8 +138,8 @@ class FlowInstance:
         done: list[int] = []
         while (nxt := self.cursor + 1) in self.pending:
             self.pending.pop(nxt)
-            for instr in self.instructions:
-                self.operator_states[instr.op_id] += 1
+            for op in self.operator_states:
+                self.operator_states[op] += 1
             self.cursor = nxt
             self.processed_log.append(nxt)
             done.append(nxt)
@@ -247,24 +159,24 @@ class FlowInstance:
         return items
 
     @classmethod
-    def restore(cls, state: FlowState, graph: DataflowGraph, home: NodeId) -> "FlowInstance":
+    def restore(cls, state: FlowState, home: NodeId) -> "FlowInstance":
+        """Rebuild a flow from its snapshot, which names its own operators."""
         return cls(
-            state.flow_id, graph, home,
-            operator_states=state.states_map(), cursor=state.cursor,
+            state.flow_id, (), home,
+            operator_states=dict(state.operator_states), cursor=state.cursor,
         )
 
 
 @dataclass
 class _ForwardingStub:
     target: NodeId
-    graph: DataflowGraph
 
 
 class FogNode:
     """One charging pile: its state, resident flows, and migration hooks."""
 
     def __init__(self, pile: PileState, capacity: int = 64,
-                 flow_template: DataflowGraph | None = None):
+                 flow_template: tuple[str, ...] | None = None):
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
         self.pile = pile
@@ -286,8 +198,8 @@ class FogNode:
         self.flows[instance.flow_id] = instance
         self.forwarding.pop(instance.flow_id, None)
 
-    def create_flow(self, flow_id: str, graph: DataflowGraph | None = None) -> FlowInstance:
-        instance = FlowInstance(flow_id, graph or self.flow_template, self.node)
+    def create_flow(self, flow_id: str) -> FlowInstance:
+        instance = FlowInstance(flow_id, self.flow_template, self.node)
         self.install_flow(instance)
         return instance
 
@@ -316,15 +228,14 @@ class FogNode:
             raise FlowNotResident(flow_id)
         instance = self.flows.pop(flow_id)
         leftovers = instance.take_pending()
-        self.forwarding[flow_id] = _ForwardingStub(forward_to, instance.graph)
+        self.forwarding[flow_id] = _ForwardingStub(forward_to)
         return leftovers
 
-    def reinstall_flow(self, state: FlowState, graph: DataflowGraph,
+    def reinstall_flow(self, state: FlowState,
                        pending: list[tuple[int, object]] = ()) -> FlowInstance:
-        """Bring a released flow back after a late reject bounced its state."""
-        self.forwarding.pop(state.flow_id, None)
-        instance = FlowInstance.restore(state, graph, self.node)
-        self.flows[state.flow_id] = instance
+        """Install a flow from its snapshot and replay the events that came with it."""
+        instance = FlowInstance.restore(state, self.node)
+        self.install_flow(instance)
         for seq, payload in pending:
             instance.offer(seq, payload)
         return instance
@@ -340,7 +251,6 @@ def on_migration_start(host: FogNode, flow_id: str) -> FlowState:
 
 
 def on_migration_end(host: FogNode, state: FlowState,
-                     graph: DataflowGraph | None = None,
                      pending: list[tuple[int, object]] = ()) -> str:
     """Install a migrated flow at the target; raises CapacityExceeded late.
 
@@ -353,10 +263,7 @@ def on_migration_end(host: FogNode, state: FlowState,
         raise CapacityExceeded(
             f"{host.node}: queue {host.pile.queue_len} of {host.capacity}"
         )
-    instance = FlowInstance.restore(state, graph or host.flow_template, host.node)
-    host.install_flow(instance)
-    for seq, payload in pending:
-        instance.offer(seq, payload)
+    host.reinstall_flow(state, pending)
     return f"ack:{state.flow_id}"
 
 
@@ -435,8 +342,7 @@ class MigrationSourceSession:
                 "migrated", target=self.current, attempts=self.attempts
             )
             return MigrationStep("done", target=self.current, outcome=self.outcome)
-        graph = self.host.forwarding[self.flow_id].graph
-        self.host.reinstall_flow(bounced_state, graph, list(bounced_pending))
+        self.host.reinstall_flow(bounced_state, list(bounced_pending))
         return self._next_candidate()
 
 
@@ -491,7 +397,6 @@ class MigrationResponse:
 class ObjectStateMsg:
     flow_id: str
     state: FlowState
-    graph: DataflowGraph
     pending: tuple = ()
 
 

@@ -197,9 +197,11 @@ def parse_csv(path) -> MetricsTable:
     table = MetricsTable()
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a metrics CSV header")
         if header != list(COLUMNS):
-            raise ValueError(f"unexpected CSV header {header!r}")
+            raise ValueError(f"{path}: unexpected CSV header {header!r}")
         for cells in reader:
             named = dict(zip(COLUMNS, cells))
             table.append(MetricsRow(

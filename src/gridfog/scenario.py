@@ -31,7 +31,6 @@ from .fognode import (
     MigrationResponse,
     evaluate_charging_request,
     on_migration_end,
-    session_flow_template,
 )
 from .messages import (
     Decision,
@@ -363,9 +362,7 @@ class Simulation:
                 rec.node, rec.location, queue_len=0,
                 service_rate=config.service_rate_per_hour,
             )
-            self.piles[rec.node] = FogNode(
-                pile, capacity=config.capacity, flow_template=session_flow_template()
-            )
+            self.piles[rec.node] = FogNode(pile, capacity=config.capacity)
         self.pile_index = PileIndex(pile_records)
 
         self.fncs: dict[NodeId, _Fnc] = {}
@@ -749,8 +746,7 @@ class Simulation:
         elif step.kind == "send-state":
             self.send_wired(
                 session.host.node, step.target,
-                ObjectStateMsg(flow_id, step.state, session.host.forwarding[flow_id].graph,
-                               step.pending),
+                ObjectStateMsg(flow_id, step.state, step.pending),
             )
         elif step.kind in ("done", "failed", "not-needed"):
             outcome = step.outcome
@@ -787,7 +783,7 @@ class Simulation:
     def _object_state_at_target(self, target: NodeId, msg: ObjectStateMsg):
         host = self.piles[target]
         try:
-            on_migration_end(host, msg.state, msg.graph, list(msg.pending))
+            on_migration_end(host, msg.state, list(msg.pending))
             ack = MigrationAck(msg.flow_id, target, ok=True)
         except CapacityExceeded:
             ack = MigrationAck(

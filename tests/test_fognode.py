@@ -1,13 +1,12 @@
-"""Pile scoring, dataflow translation, and the migration protocol."""
+"""Pile scoring, session flows, and the migration protocol."""
 
 import logging
 import random
 
 import pytest
 
-from gridfog.errors import CapacityExceeded, CyclicFlow, FlowNotResident
+from gridfog.errors import CapacityExceeded, FlowNotResident
 from gridfog.fognode import (
-    DataflowGraph,
     FlowInstance,
     FogNode,
     MigrationPolicy,
@@ -17,7 +16,6 @@ from gridfog.fognode import (
     on_migration_end,
     on_migration_start,
     session_flow_template,
-    translate_flow,
 )
 from gridfog.messages import ServiceRequest
 from gridfog.topology import Point2D, fog_id, terminal_id
@@ -36,51 +34,6 @@ def request_at(x, y, range_m=1000.0):
 
 def pile_at(ordinal, x, y, queue_len=0):
     return PileState(fog_id(ordinal), Point2D(x, y), queue_len=queue_len)
-
-
-def test_chain_translates_in_order():
-    g = DataflowGraph(
-        operators=(("a", "input"), ("b", "output")), edges=(("a", "b"),)
-    )
-    assert [i.op_id for i in translate_flow(g)] == ["a", "b"]
-
-
-def test_diamond_breaks_ties_by_op_id():
-    g = DataflowGraph(
-        operators=(("a", "input"), ("b", "process"), ("c", "process"), ("d", "output")),
-        edges=(("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")),
-    )
-    assert [i.op_id for i in translate_flow(g)] == ["a", "b", "c", "d"]
-
-
-def test_random_dags_translate_to_valid_orders():
-    rng = random.Random(29)
-    for _ in range(50):
-        n = 8
-        ids = [f"op{i}" for i in range(n)]
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.3:
-                    edges.append((ids[i], ids[j]))
-        kinds = ["input"] + ["process"] * (n - 2) + ["output"]
-        g = DataflowGraph(
-            operators=tuple(zip(ids, kinds)), edges=tuple(edges)
-        )
-        order = [i.op_id for i in translate_flow(g)]
-        assert sorted(order) == sorted(ids)
-        position = {oid: k for k, oid in enumerate(order)}
-        for src, dst in edges:
-            assert position[src] < position[dst]
-
-
-def test_cycle_rejected():
-    g = DataflowGraph(
-        operators=(("a", "process"), ("b", "process")),
-        edges=(("a", "b"), ("b", "a")),
-    )
-    with pytest.raises(CyclicFlow):
-        translate_flow(g)
 
 
 def test_score_zero_for_colocated_idle_pile():
@@ -127,9 +80,11 @@ def test_snapshot_restore_round_trip():
     state = on_migration_start(src, "f1")
     assert len(state.operator_states) == 3
     assert state.cursor == 7
-    restored = FlowInstance.restore(state, session_flow_template(), fog_id(1))
+    restored = FlowInstance.restore(state, fog_id(1))
     assert restored.snapshot().operator_states == state.operator_states
     assert restored.snapshot().cursor == state.cursor
+    assert restored.offer(8) == [8]
+    assert restored.operator_states == {"ingest": 8, "assess": 8, "act": 8}
 
 
 def test_migration_start_unknown_flow():

@@ -378,3 +378,28 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     code = main(["run", "--config", str(cfg)])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_cli_sweep_rejects_non_positive_reps(reps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--sweep", "fnc", "--reps", reps])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--reps" in err
+    assert "positive integer" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "empty file"),
+    ("a,b,c\n1,2,3\n", "unexpected CSV header"),
+])
+def test_cli_plot_data_reports_unreadable_input(tmp_path, capsys, content, message):
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    code = main(["plot-data", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert message in err[0]
+    assert str(path) in err[0]

@@ -309,6 +309,20 @@ def test_tiny_latency_bound_forces_migrations():
             assert term.serving_pile == last_target[term.flow_id]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_migrated_flows_end_resident_on_their_serving_pile(seed):
+    sim = run_scenario(small_config(seed=seed, architecture="coordinated",
+                                    t_upper_ms=1.0))
+    assert any(a.outcome == "migrated" for a in sim.audits)
+    assert any(t.kind == "ObjectStateMsg" for t in sim.trace)
+    for term in sim.terminals.values():
+        hosts = [node for node, pile in sim.piles.items() if pile.has_flow(term.flow_id)]
+        assert hosts == [term.serving_pile]
+    for pile in sim.piles.values():
+        assert not any(flow.frozen for flow in pile.flows.values())
+        assert not pile._reservations
+
+
 def test_runs_are_reproducible():
     a = run_scenario(small_config(architecture="coordinated", t_upper_ms=300.0))
     b = run_scenario(small_config(architecture="coordinated", t_upper_ms=300.0))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -20,7 +21,24 @@ from .harness import (
     write_topology_csv,
 )
 from .metrics import MetricsTable
-from .scenario import ARCHITECTURES, ScenarioConfig, run_scenario
+from .scenario import ARCHITECTURES, ScenarioConfig, SendTrace, Simulation
+
+
+class JsonlTrace:
+    """Trace sink writing each :class:`SendTrace` as one JSON line.
+
+    Keys are the ``SendTrace`` field names; node ids are written as text.
+    """
+
+    _FIELDS = tuple(f.name for f in fields(SendTrace))
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def append(self, row: SendTrace) -> None:
+        record = {name: getattr(row, name) for name in self._FIELDS}
+        record["src"], record["dst"] = str(row.src), str(row.dst)
+        self._handle.write(json.dumps(record) + "\n")
 
 
 def _base_config(args) -> ScenarioConfig:
@@ -34,7 +52,11 @@ def _base_config(args) -> ScenarioConfig:
 
 def _cmd_run(args) -> int:
     cfg = _base_config(args)
-    sim = run_scenario(cfg)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            sim = Simulation(cfg, trace=JsonlTrace(handle)).run()
+    else:
+        sim = Simulation(cfg).run()
     table = MetricsTable()
     table.append(sim.summary_row(
         run_id=f"run-{cfg.seed}-{cfg.architecture}"))
@@ -112,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the architecture")
     run.add_argument("--out", default="metrics.csv",
                      help="metrics CSV path (topology CSV written alongside)")
+    run.add_argument("--trace", metavar="PATH",
+                     help="write one JSON line per message sent to PATH")
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="run one of the three figure sweeps")

@@ -11,7 +11,7 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -20,9 +20,12 @@ from .errors import SchedulingInPast
 SimTime = float
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """A scheduled delivery of ``payload`` to ``target`` at ``fire_at``."""
+class SimEvent(NamedTuple):
+    """A scheduled delivery of ``payload`` to ``target`` at ``fire_at``.
+
+    The queue's heap holds events as they are: ``seq`` is unique, so tuple
+    ordering never reaches ``target`` or ``payload``.
+    """
 
     fire_at: SimTime
     seq: int
@@ -38,7 +41,7 @@ class EventQueue:
     """
 
     def __init__(self, start: SimTime = 0.0):
-        self._heap: list[tuple[SimTime, int, SimEvent]] = []
+        self._heap: list[SimEvent] = []
         self._clock: SimTime = start
         self._next_seq = 0
 
@@ -60,7 +63,7 @@ class EventQueue:
             )
         event = SimEvent(fire_at, self._next_seq, target, payload)
         self._next_seq += 1
-        heapq.heappush(self._heap, (event.fire_at, event.seq, event))
+        heapq.heappush(self._heap, event)
         return event
 
     def schedule_in(self, delay: SimTime, target: Any, payload: Any) -> SimEvent:
@@ -77,8 +80,8 @@ class EventQueue:
         passed).
         """
         processed = 0
-        while self._heap and self._heap[0][0] <= deadline:
-            _, _, event = heapq.heappop(self._heap)
+        while self._heap and self._heap[0].fire_at <= deadline:
+            event = heapq.heappop(self._heap)
             self._clock = event.fire_at
             handler(event)
             processed += 1

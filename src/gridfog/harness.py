@@ -203,6 +203,9 @@ def parse_csv(path) -> MetricsTable:
         if header != list(COLUMNS):
             raise ValueError(f"{path}: unexpected CSV header {header!r}")
         for cells in reader:
+            if len(cells) != len(COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(COLUMNS)} cells, got {len(cells)}")
             named = dict(zip(COLUMNS, cells))
             table.append(MetricsRow(
                 run_id=named["run_id"],

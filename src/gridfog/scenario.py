@@ -51,7 +51,6 @@ from .topology import (
     Point2D,
     Registry,
     ResourceProfile,
-    cloud_id,
     fnc_id,
     place_nodes,
     report_status,
@@ -59,6 +58,8 @@ from .topology import (
 )
 
 ARCHITECTURES = ("traditional", "coordinated")
+
+_CLOUD = Layer.CLOUD.value
 
 # Delays, rates and counts that a negative value would turn into events
 # scheduled in the past or a failure deep inside a run.
@@ -228,7 +229,7 @@ class MigrationAudit:
 
 @dataclass(frozen=True)
 class SendTrace:
-    """Debug record of one transmitted message."""
+    """Debug record of one transmitted message, built only when a run is traced."""
 
     sent_at: SimTime
     arrives_at: SimTime
@@ -323,9 +324,14 @@ class _WindowClose:
 
 
 class Simulation:
-    """One fully built scenario run; construct, ``run()``, then read results."""
+    """One fully built scenario run; construct, ``run()``, then read results.
 
-    def __init__(self, config: ScenarioConfig):
+    ``trace`` is any object with ``append``, such as a list or a file
+    writer; it receives one :class:`SendTrace` per message sent.  Without
+    one no trace row is built, and ``self.trace`` is an empty tuple.
+    """
+
+    def __init__(self, config: ScenarioConfig, trace=None):
         self.config = config
         self.rng = RngStream(config.seed)
         self.queue = EventQueue()
@@ -343,12 +349,12 @@ class Simulation:
             config.arena_diameter_m,
             self.rng,
         )
-        self.static_location: dict[NodeId, Point2D] = {
-            r.node: r.location for r in self.records
-        }
+        # Where every node is now; terminals move on each mobility step.
+        self.positions: dict[NodeId, Point2D] = {r.node: r.location for r in self.records}
         self.outcomes: list[RequestOutcome] = []
         self.audits: list[MigrationAudit] = []
-        self.trace: list[SendTrace] = []
+        self.trace = () if trace is None else trace
+        self._traced = trace is not None
         self.messages_total = 0
         self._msg_counts: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
@@ -442,15 +448,9 @@ class Simulation:
                 self.queue.schedule(drain_gap, node, _DrainTick())
 
     # ---------------------------------------------------------- plumbing
-    def position_of(self, node: NodeId) -> Point2D:
-        if node in self.terminals:
-            return self.terminals[node].mobility.position
-        return self.static_location[node]
-
     def _receiver_load(self, node: NodeId) -> float:
-        if node in self.piles:
-            return float(self.piles[node].pile.queue_len)
-        return 0.0
+        host = self.piles.get(node)
+        return 0.0 if host is None else float(host.pile.queue_len)
 
     def _count_msg(self, request_id: str | None):
         self.messages_total += 1
@@ -460,31 +460,33 @@ class Simulation:
     def send_wireless(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
         now = self.queue.clock
         departure = self.channel.acquire(now)
-        src_p, dst_p = self.position_of(src), self.position_of(dst)
+        src_p, dst_p = self.positions[src], self.positions[dst]
         load = self._receiver_load(dst)
         arrival = departure + self.channel.air_ms + link_latency(
             self.wireless, src_p, dst_p, load
         )
         self.queue.schedule(arrival, dst, payload)
         self._count_msg(request_id)
-        self.trace.append(
-            SendTrace(now, arrival, "wireless", src, dst,
-                      src_p.distance_to(dst_p), load, type(payload).__name__, request_id)
-        )
+        if self._traced:
+            self.trace.append(
+                SendTrace(now, arrival, "wireless", src, dst,
+                          src_p.distance_to(dst_p), load, type(payload).__name__, request_id)
+            )
         return arrival
 
     def send_wired(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
         now = self.queue.clock
-        src_p, dst_p = self.position_of(src), self.position_of(dst)
+        src_p, dst_p = self.positions[src], self.positions[dst]
         load = self._receiver_load(dst)
-        extra = self.config.cloud_extra_ms if cloud_id().layer in (src.layer, dst.layer) else 0.0
+        extra = self.config.cloud_extra_ms if _CLOUD in (src.layer, dst.layer) else 0.0
         arrival = now + link_latency(self.backhaul, src_p, dst_p, load) + extra
         self.queue.schedule(arrival, dst, payload)
         self._count_msg(request_id)
-        self.trace.append(
-            SendTrace(now, arrival, "backhaul", src, dst,
-                      src_p.distance_to(dst_p), load, type(payload).__name__, request_id)
-        )
+        if self._traced:
+            self.trace.append(
+                SendTrace(now, arrival, "backhaul", src, dst,
+                          src_p.distance_to(dst_p), load, type(payload).__name__, request_id)
+            )
         return arrival
 
     # ------------------------------------------------------------ events
@@ -513,6 +515,7 @@ class Simulation:
             draw_waypoint=term.draw_waypoint,
             speed=cfg.mobility_speed_mps,
         )
+        self.positions[node] = term.mobility.position
         nxt = self.queue.clock + cfg.mobility_step_ms
         if nxt <= cfg.sim_duration_ms:
             self.queue.schedule(nxt, node, tick)
@@ -708,9 +711,10 @@ class Simulation:
 
     def _candidate_group(self, source: NodeId, origin: Point2D) -> tuple[NodeId, ...]:
         registry = self.fncs[fnc_id(0)].registry
+        fog = Layer.FOG.value
         scored = []
         for status in registry.entries():
-            if status.node.layer != Layer.FOG.value or status.node == source:
+            if status.node.layer != fog or status.node == source:
                 continue
             if status.resources.queue_len >= status.resources.capacity:
                 continue

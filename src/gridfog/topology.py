@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +27,11 @@ class Layer(enum.Enum):
     CLOUD = "cloud"
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Layer tag plus ordinal, e.g. ``fog-3``.  Totally ordered."""
+class NodeId(NamedTuple):
+    """Layer tag plus ordinal, e.g. ``fog-3``.  Totally ordered.
+
+    A plain tuple underneath, so hashing and ordering run in C.
+    """
 
     layer: str
     ordinal: int
@@ -144,10 +147,11 @@ def nodes_within(
     """
     if range_m < 0:
         raise ValueError("range_m must be >= 0")
+    tag = layer.value
     hits = [
         (d, status.node)
         for status in registry._entries.values()
-        if status.node.layer == layer.value
+        if status.node.layer == tag
         and (d := status.location.distance_to(center)) <= range_m
     ]
     hits.sort()

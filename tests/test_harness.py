@@ -1,6 +1,8 @@
 """Config parsing, sweep execution, CSV emission, plot aggregation, CLI."""
 
+import json
 import statistics
+from dataclasses import fields
 
 import pytest
 
@@ -24,7 +26,7 @@ from gridfog.harness import (
     write_topology_csv,
 )
 from gridfog.metrics import COLUMNS, MetricsRow, MetricsTable
-from gridfog.scenario import ScenarioConfig, run_scenario
+from gridfog.scenario import ScenarioConfig, SendTrace, run_scenario
 
 
 def tiny_base(**overrides):
@@ -354,6 +356,27 @@ def test_cli_run_writes_metrics_and_topology(tmp_path, capsys):
     assert "completed" in capsys.readouterr().out
 
 
+def test_cli_run_streams_one_trace_line_per_message(tmp_path):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("sim_duration_ms = 5000\nn_terminals = 6\nn_fog = 4\n")
+    out, trace = tmp_path / "metrics.csv", tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(cfg), "--seed", "3", "--out", str(out),
+                 "--trace", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    assert len(lines) == parse_csv(out).rows[0].messages_total > 0
+    keys = [f.name for f in fields(SendTrace)]
+    for line in lines:
+        record = json.loads(line)
+        assert list(record) == keys
+        assert isinstance(record["src"], str) and isinstance(record["dst"], str)
+        assert isinstance(record["distance_m"], float)
+
+    trace.unlink()
+    assert main(["run", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fast.cfg", "metrics.csv", "metrics_topology.csv"]
+
+
 def test_cli_sweep_then_plot_data(tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("sim_duration_ms = 5000\nn_terminals = 6\nn_fog = 4\n")
@@ -393,6 +416,10 @@ def test_cli_sweep_rejects_non_positive_reps(reps, capsys):
 @pytest.mark.parametrize("content, message", [
     ("", "empty file"),
     ("a,b,c\n1,2,3\n", "unexpected CSV header"),
+    pytest.param(",".join(COLUMNS) + "\nr1,traditional\n",
+                 f"line 2: expected {len(COLUMNS)} cells, got 2", id="short-row"),
+    pytest.param(",".join(COLUMNS) + "\nr1,traditional,,,1,,,0,0,0,0,,extra\n",
+                 f"line 2: expected {len(COLUMNS)} cells, got 13", id="long-row"),
 ])
 def test_cli_plot_data_reports_unreadable_input(tmp_path, capsys, content, message):
     path = tmp_path / "input.csv"

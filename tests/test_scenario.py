@@ -123,7 +123,7 @@ def test_chosen_pile_is_the_distance_argmin_when_wait_weight_is_zero():
             origin = sim._requests_by_id[outcome.request_id].origin
             best = min(
                 sim.piles,
-                key=lambda n: (origin.distance_to(sim.static_location[n]),
+                key=lambda n: (origin.distance_to(sim.positions[n]),
                                n.ordinal, n),
             )
             assert outcome.chosen == best
@@ -145,8 +145,8 @@ def test_both_architectures_agree_when_distance_decides():
 
 def test_more_coordinators_sit_closer_to_the_terminals():
     def mean_uplink(n_fnc):
-        sim = run_scenario(small_config(architecture="coordinated",
-                                        n_fnc=n_fnc))
+        sim = Simulation(small_config(architecture="coordinated",
+                                      n_fnc=n_fnc), trace=[]).run()
         dists = [t.distance_m for t in sim.trace
                  if t.medium == "wireless" and t.kind == "ServiceRequest"]
         return sum(dists) / len(dists)
@@ -157,21 +157,21 @@ def test_more_coordinators_sit_closer_to_the_terminals():
 # ------------------------------------------------------------ trace checks
 
 def test_wired_arrivals_match_the_link_model():
-    sim = run_scenario(small_config(architecture="coordinated"))
+    sim = Simulation(small_config(architecture="coordinated"), trace=[]).run()
     model = LatencyModel(sim.config.backhaul_base_ms,
                          sim.config.backhaul_prop_ms_per_m,
                          sim.config.proc_ms_per_unit)
     wired = [t for t in sim.trace if t.medium == "backhaul"]
     assert wired
     for t in wired:
-        src = sim.static_location[t.src]
-        dst = sim.static_location[t.dst]
+        src = sim.positions[t.src]
+        dst = sim.positions[t.dst]
         expected = link_latency(model, src, dst, t.receiver_load)
         assert t.arrives_at - t.sent_at == pytest.approx(expected, abs=1e-9)
 
 
 def test_wireless_transmissions_serialize_on_one_channel():
-    sim = run_scenario(small_config(architecture="traditional"))
+    sim = Simulation(small_config(architecture="traditional"), trace=[]).run()
     cfg = sim.config
     departures = []
     for t in sim.trace:
@@ -188,19 +188,48 @@ def test_wireless_transmissions_serialize_on_one_channel():
         assert b - a >= cfg.wireless_air_ms - 1e-9
 
 
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+def test_trace_is_opt_in(architecture):
+    plain = run_scenario(small_config(architecture=architecture, t_upper_ms=300.0))
+    traced = Simulation(small_config(architecture=architecture, t_upper_ms=300.0),
+                        trace=[]).run()
+    assert plain.trace == ()
+    assert plain.outcomes == traced.outcomes
+    assert plain.audits == traced.audits
+    assert plain.messages_total == traced.messages_total > 0
+    assert len(traced.trace) == traced.messages_total
+
+
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+def test_wireless_sends_use_the_terminal_position_at_send_time(architecture):
+    sim = Simulation(small_config(architecture=architecture), trace=[]).run()
+    origins = {o.request_id: sim._requests_by_id[o.request_id].origin
+               for o in sim.outcomes}
+    placed = {r.node: r.location for r in sim.records}
+    requests = [t for t in sim.trace
+                if t.medium == "wireless" and t.kind == "ServiceRequest"]
+    assert requests
+    moved = 0
+    for t in requests:
+        origin = origins[t.request_id]
+        assert t.distance_m == origin.distance_to(sim.positions[t.dst])
+        moved += origin != placed[t.src]
+    assert moved
+
+
 def test_every_message_is_traced():
     for arch in ("traditional", "coordinated"):
-        sim = run_scenario(small_config(architecture=arch))
+        sim = Simulation(small_config(architecture=arch), trace=[]).run()
         assert sim.messages_total == len(sim.trace)
 
 
 def test_status_reports_flow_only_under_coordination():
-    coord = run_scenario(ScenarioConfig(seed=3))
+    coord = Simulation(ScenarioConfig(seed=3), trace=[]).run()
     reports = [t for t in coord.trace if t.kind == "StatusReportMsg"]
     ticks = int(coord.config.sim_duration_ms // coord.config.report_period_ms)
     assert len(reports) == ticks * coord.config.n_fog * coord.config.n_fnc
 
-    trad = run_scenario(ScenarioConfig(seed=3, architecture="traditional"))
+    trad = Simulation(ScenarioConfig(seed=3, architecture="traditional"), trace=[]).run()
     assert not any(t.kind == "StatusReportMsg" for t in trad.trace)
 
 
@@ -269,8 +298,8 @@ def test_unrouted_payload_raises_naming_its_type(architecture):
 
 
 def test_summary_row_is_internally_consistent():
-    sim = run_scenario(small_config(architecture="coordinated",
-                                    query_range_m=1.0))
+    sim = Simulation(small_config(architecture="coordinated",
+                                  query_range_m=1.0), trace=[]).run()
     row = sim.summary_row(run_id="x", swept_variable="query_range_m",
                           swept_value=1.0)
     assert row.completed == 0
@@ -311,8 +340,8 @@ def test_tiny_latency_bound_forces_migrations():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_migrated_flows_end_resident_on_their_serving_pile(seed):
-    sim = run_scenario(small_config(seed=seed, architecture="coordinated",
-                                    t_upper_ms=1.0))
+    sim = Simulation(small_config(seed=seed, architecture="coordinated",
+                                  t_upper_ms=1.0), trace=[]).run()
     assert any(a.outcome == "migrated" for a in sim.audits)
     assert any(t.kind == "ObjectStateMsg" for t in sim.trace)
     for term in sim.terminals.values():
@@ -324,8 +353,8 @@ def test_migrated_flows_end_resident_on_their_serving_pile(seed):
 
 
 def test_runs_are_reproducible():
-    a = run_scenario(small_config(architecture="coordinated", t_upper_ms=300.0))
-    b = run_scenario(small_config(architecture="coordinated", t_upper_ms=300.0))
+    a = Simulation(small_config(architecture="coordinated", t_upper_ms=300.0), trace=[]).run()
+    b = Simulation(small_config(architecture="coordinated", t_upper_ms=300.0), trace=[]).run()
     assert a.outcomes == b.outcomes
     assert a.audits == b.audits
     assert a.messages_total == b.messages_total

@@ -37,11 +37,7 @@ def dispatch(
     if not candidates:
         raise NoEligibleNodes(request.request_id)
     return [
-        JobDispatch(
-            request_id=request.request_id,
-            assignee=node,
-            dispatched_at=clock,
-        )
+        JobDispatch(request=request, assignee=node, dispatched_at=clock)
         for node in candidates
     ]
 

@@ -34,9 +34,15 @@ class PileOffer:
 
 @dataclass(frozen=True)
 class JobDispatch:
-    request_id: str
+    """One candidate's share of a request: the pile scores ``request`` itself."""
+
+    request: ServiceRequest
     assignee: NodeId
     dispatched_at: SimTime
+
+    @property
+    def request_id(self) -> str:
+        return self.request.request_id
 
 
 @dataclass(frozen=True)

@@ -59,14 +59,12 @@ from .topology import (
 
 ARCHITECTURES = ("traditional", "coordinated")
 
-_CLOUD = Layer.CLOUD.value
-
 # Delays, rates and counts that a negative value would turn into events
 # scheduled in the past or a failure deep inside a run.
 _NON_NEGATIVE = (
     "wireless_base_ms", "wireless_prop_ms_per_m", "wireless_air_ms",
     "backhaul_base_ms", "backhaul_prop_ms_per_m", "proc_ms_per_unit",
-    "compute_ms", "fnc_service_ms", "cloud_extra_ms", "mobility_speed_mps",
+    "compute_ms", "fnc_service_ms", "mobility_speed_mps",
     "max_migration_attempts",
 )
 
@@ -103,7 +101,6 @@ class ScenarioConfig:
     t_upper_ms: float = 650.0
     ewma_alpha: float = 0.5
     max_migration_attempts: int = 0  # 0 means try the whole candidate group
-    cloud_extra_ms: float = 50.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -305,12 +302,6 @@ class _DrainTick:
 @dataclass(frozen=True)
 class _ComputeDone:
     request: ServiceRequest
-    reply_to: NodeId
-
-
-@dataclass(frozen=True)
-class _FncProcess:
-    request: ServiceRequest
 
 
 @dataclass(frozen=True)
@@ -358,8 +349,6 @@ class Simulation:
         self.messages_total = 0
         self._msg_counts: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
-        self._requests_by_id: dict[str, ServiceRequest] = {}
-        self._request_fnc: dict[str, NodeId] = {}
 
         pile_records = [rec for rec in self.records if rec.node.layer == Layer.FOG.value]
         self.piles: dict[NodeId, FogNode] = {}
@@ -400,6 +389,10 @@ class Simulation:
                 term.flow_id = flow_id
 
         self._routes = self._ROUTES[config.architecture]
+        self._service_ms = {
+            payload: getattr(config, name)
+            for payload, name in self._SERVICE_MS[config.architecture].items()
+        }
         self._schedule_initial_events()
         self._ran = False
 
@@ -458,36 +451,37 @@ class Simulation:
             self._msg_counts[request_id].messages_used += 1
 
     def send_wireless(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
-        now = self.queue.clock
-        departure = self.channel.acquire(now)
+        departure = self.channel.acquire(self.queue.clock)
         src_p, dst_p = self.positions[src], self.positions[dst]
         load = self._receiver_load(dst)
         arrival = departure + self.channel.air_ms + link_latency(
             self.wireless, src_p, dst_p, load
         )
-        self.queue.schedule(arrival, dst, payload)
-        self._count_msg(request_id)
-        if self._traced:
-            self.trace.append(
-                SendTrace(now, arrival, "wireless", src, dst,
-                          src_p.distance_to(dst_p), load, type(payload).__name__, request_id)
-            )
+        self._deliver(arrival, "wireless", src, dst, payload, request_id, load)
         return arrival
 
     def send_wired(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
-        now = self.queue.clock
         src_p, dst_p = self.positions[src], self.positions[dst]
         load = self._receiver_load(dst)
-        extra = self.config.cloud_extra_ms if _CLOUD in (src.layer, dst.layer) else 0.0
-        arrival = now + link_latency(self.backhaul, src_p, dst_p, load) + extra
-        self.queue.schedule(arrival, dst, payload)
+        arrival = self.queue.clock + link_latency(self.backhaul, src_p, dst_p, load)
+        self._deliver(arrival, "backhaul", src, dst, payload, request_id, load)
+        return arrival
+
+    def _deliver(self, arrival, medium, src, dst, payload, request_id, load):
+        """Hand ``payload`` to ``dst`` once its receiver's service time has passed.
+
+        A payload whose handling only waits a fixed time after it arrives
+        fires that much later; the trace still records the true arrival.
+        """
+        kind = type(payload)
+        self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
         self._count_msg(request_id)
         if self._traced:
+            distance = self.positions[src].distance_to(self.positions[dst])
             self.trace.append(
-                SendTrace(now, arrival, "backhaul", src, dst,
-                          src_p.distance_to(dst_p), load, type(payload).__name__, request_id)
+                SendTrace(self.queue.clock, arrival, medium, src, dst, distance, load,
+                          kind.__name__, request_id)
             )
-        return arrival
 
     # ------------------------------------------------------------ events
     def run(self) -> "Simulation":
@@ -554,10 +548,8 @@ class Simulation:
         outcome = RequestOutcome(request.request_id, node, self.queue.clock)
         self.outcomes.append(outcome)
         self._msg_counts[request.request_id] = outcome
-        self._requests_by_id[request.request_id] = request
         if cfg.architecture == "coordinated":
-            k = sector_index(term.mobility.position, cfg.n_fnc)
-            self.send_wireless(node, fnc_id(k), request, request.request_id)
+            self.send_wireless(node, self._fnc_of(request), request, request.request_id)
         else:
             term.windows[request.request_id] = _ReplyWindow()
             for _, pile in self.pile_index.within(request.origin, cfg.query_range_m):
@@ -567,13 +559,12 @@ class Simulation:
             )
 
     # ------------------------------------------------------- coordinated
-    def _request_at_fnc(self, fnc_node: NodeId, request: ServiceRequest):
-        self.queue.schedule_in(self.config.fnc_service_ms, fnc_node, _FncProcess(request))
+    def _fnc_of(self, request: ServiceRequest) -> NodeId:
+        """The FNC of the sector the request was issued from."""
+        return fnc_id(sector_index(request.origin, self.config.n_fnc))
 
-    def _fnc_process(self, fnc_node: NodeId, process: _FncProcess):
-        request = process.request
+    def _fnc_process(self, fnc_node: NodeId, request: ServiceRequest):
         fnc = self.fncs[fnc_node]
-        self._request_fnc[request.request_id] = fnc_node
         try:
             candidates = filter_candidates(fnc.registry, request)
         except NoEligibleNodes:
@@ -590,18 +581,14 @@ class Simulation:
             self.config.aggregation_timeout_ms, fnc_node, _AggTimeout(request.request_id)
         )
 
-    def _dispatch_at_pile(self, pile_node: NodeId, job: JobDispatch):
-        request = self._requests_by_id[job.request_id]
-        fnc_node = self._request_fnc[job.request_id]
-        self.queue.schedule_in(self.config.compute_ms, pile_node, _ComputeDone(request, fnc_node))
-
-    def _evaluate(self, pile_node: NodeId, done: _ComputeDone) -> JobResult:
+    def _evaluate(self, pile_node: NodeId, request: ServiceRequest) -> JobResult:
         host = self.piles[pile_node]
-        return evaluate_charging_request(done.request, host.pile, self.config.weights)
+        return evaluate_charging_request(request, host.pile, self.config.weights)
 
-    def _reply_to_fnc(self, pile_node: NodeId, done: _ComputeDone):
-        result = self._evaluate(pile_node, done)
-        self.send_wired(pile_node, done.reply_to, result, done.request.request_id)
+    def _reply_to_fnc(self, pile_node: NodeId, job: JobDispatch):
+        request = job.request
+        result = self._evaluate(pile_node, request)
+        self.send_wired(pile_node, self._fnc_of(request), result, request.request_id)
 
     def _result_at_fnc(self, fnc_node: NodeId, result: JobResult):
         fnc = self.fncs[fnc_node]
@@ -656,13 +643,12 @@ class Simulation:
         host = self.piles[pile_node]
         if host.pile.queue_len >= host.capacity:
             return
-        self.queue.schedule_in(
-            self.config.compute_ms, pile_node, _ComputeDone(request, request.requester)
-        )
+        self.queue.schedule_in(self.config.compute_ms, pile_node, _ComputeDone(request))
 
     def _reply_to_terminal(self, pile_node: NodeId, done: _ComputeDone):
-        result = self._evaluate(pile_node, done)
-        self.send_wireless(pile_node, done.reply_to, result, done.request.request_id)
+        request = done.request
+        result = self._evaluate(pile_node, request)
+        self.send_wireless(pile_node, request.requester, result, request.request_id)
 
     def _reply_at_terminal(self, node: NodeId, result: JobResult):
         window = self.terminals[node].windows.get(result.request_id)
@@ -821,10 +807,8 @@ class Simulation:
             _MobilityTick: _step_terminal,
             _ReportTick: _report_pile,
             _DrainTick: _drain_pile,
-            ServiceRequest: _request_at_fnc,
-            _FncProcess: _fnc_process,
-            JobDispatch: _dispatch_at_pile,
-            _ComputeDone: _reply_to_fnc,
+            ServiceRequest: _fnc_process,
+            JobDispatch: _reply_to_fnc,
             JobResult: _result_at_fnc,
             _AggTimeout: _agg_timeout,
             Decision: _decision_at_terminal,
@@ -836,6 +820,14 @@ class Simulation:
             ObjectStateMsg: _object_state_at_target,
             MigrationAck: _migration_ack_at_source,
         },
+    }
+
+    # Per architecture, the config field that names how long after arrival
+    # a payload is handled.  A broadcast query is checked against pile
+    # capacity on arrival, so the traditional table is empty.
+    _SERVICE_MS = {
+        "traditional": {},
+        "coordinated": {ServiceRequest: "fnc_service_ms", JobDispatch: "compute_ms"},
     }
 
     # ------------------------------------------------------------ results

@@ -3,8 +3,8 @@
 The arena is a circle (2000 m diameter by default).  Terminals and fog
 nodes (charging piles) are placed uniformly at random inside it; each
 fog node coordinator (FNC) sits at the centroid of its equal angular
-sector; the cloud is a single logical node whose remoteness is modeled
-as extra latency, not distance, so its coordinate is the arena center.
+sector; the cloud is a single logical record at the arena center that
+no message reaches.
 """
 
 from __future__ import annotations
@@ -229,8 +229,7 @@ def place_nodes(
 
     Terminals and fog nodes draw their positions from per-node child
     streams, so changing one count never moves other nodes.  FNCs sit at
-    their sector centroids; the cloud sits at the center (its remoteness
-    is extra latency, not geometry).
+    their sector centroids; the cloud sits at the center.
     """
     if min(n_terminals, n_fog, n_fnc) < 0:
         raise ValueError("node counts must be >= 0")

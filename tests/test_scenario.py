@@ -1,10 +1,12 @@
 """End-to-end behaviour of assembled scenario runs."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from gridfog.engine import LatencyModel, link_latency
+from gridfog.messages import ServiceRequest
 from gridfog.scenario import (
     MobilityState,
     ScenarioConfig,
@@ -19,6 +21,21 @@ def small_config(**overrides):
     base = dict(seed=7, sim_duration_ms=20_000.0, request_rate=2.0)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def run_noting_origins(config, **kwargs):
+    """Run ``config``; also return each request's origin, as the run sent it."""
+    sim = Simulation(config, **kwargs)
+    origins = {}
+    send = sim.send_wireless
+
+    def spy(src, dst, payload, request_id=None):
+        if isinstance(payload, ServiceRequest):
+            origins[payload.request_id] = payload.origin
+        return send(src, dst, payload, request_id)
+
+    sim.send_wireless = spy
+    return sim.run(), origins
 
 
 # ---------------------------------------------------------------- mobility
@@ -114,13 +131,13 @@ def test_no_pile_in_range_leaves_requests_unserved():
 
 def test_chosen_pile_is_the_distance_argmin_when_wait_weight_is_zero():
     for arch in ("traditional", "coordinated"):
-        sim = run_scenario(small_config(
+        sim, origins = run_noting_origins(small_config(
             architecture=arch, query_range_m=2800.0, w_wait=0.0))
         assert any(o.completed for o in sim.outcomes)
         for outcome in sim.outcomes:
             if not outcome.completed:
                 continue
-            origin = sim._requests_by_id[outcome.request_id].origin
+            origin = origins[outcome.request_id]
             best = min(
                 sim.piles,
                 key=lambda n: (origin.distance_to(sim.positions[n]),
@@ -202,9 +219,7 @@ def test_trace_is_opt_in(architecture):
 
 @pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
 def test_wireless_sends_use_the_terminal_position_at_send_time(architecture):
-    sim = Simulation(small_config(architecture=architecture), trace=[]).run()
-    origins = {o.request_id: sim._requests_by_id[o.request_id].origin
-               for o in sim.outcomes}
+    sim, origins = run_noting_origins(small_config(architecture=architecture), trace=[])
     placed = {r.node: r.location for r in sim.records}
     requests = [t for t in sim.trace
                 if t.medium == "wireless" and t.kind == "ServiceRequest"]
@@ -221,6 +236,54 @@ def test_every_message_is_traced():
     for arch in ("traditional", "coordinated"):
         sim = Simulation(small_config(architecture=arch), trace=[]).run()
         assert sim.messages_total == len(sim.trace)
+
+
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+@pytest.mark.parametrize("timeout_ms", [500.0, 1.0])
+def test_trace_rows_per_request_equal_messages_used(architecture, timeout_ms):
+    # With a 1 ms window every request is decided before any reply is sent,
+    # so late JobResults must still count against their request.
+    sim = Simulation(small_config(architecture=architecture, query_range_m=1200.0,
+                                  aggregation_timeout_ms=timeout_ms), trace=[]).run()
+    rows = Counter(t.request_id for t in sim.trace if t.request_id is not None)
+    used = {o.request_id: o.messages_used for o in sim.outcomes}
+    assert set(rows) <= set(used)
+    assert {rid: rows[rid] for rid in used} == used
+    assert any(t.kind == "JobResult" for t in sim.trace)
+    if timeout_ms == 1.0:
+        assert not any(o.completed for o in sim.outcomes)
+
+
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+@pytest.mark.parametrize("service", [{}, dict(fnc_service_ms=0.3, compute_ms=97.1)])
+def test_handling_waits_exactly_the_service_time_after_arrival(architecture, service):
+    sim = Simulation(small_config(architecture=architecture, **service), trace=[]).run()
+    cfg = sim.config
+    requests = {t.request_id: t for t in sim.trace if t.kind == "ServiceRequest"}
+    jobs = {(t.request_id, t.dst): t for t in sim.trace if t.kind == "JobDispatch"}
+    results = [t for t in sim.trace if t.kind == "JobResult"]
+    assert results
+    if architecture == "coordinated":
+        assert jobs
+        for job in jobs.values():
+            assert job.sent_at == requests[job.request_id].arrives_at + cfg.fnc_service_ms
+    else:
+        assert not jobs
+        jobs = {(t.request_id, t.dst): t for t in sim.trace if t.kind == "ServiceRequest"}
+    for result in results:
+        assert result.sent_at == jobs[result.request_id, result.src].arrives_at + cfg.compute_ms
+
+
+def test_reply_due_at_the_aggregation_deadline_misses_it():
+    # With a zero-latency backhaul a pile's reply reaches the FNC exactly when
+    # its aggregation window closes; the window closes first.
+    for seed in range(1, 9):
+        sim = run_scenario(small_config(
+            seed=seed, architecture="coordinated", query_range_m=2800.0,
+            backhaul_base_ms=0.0, backhaul_prop_ms_per_m=0.0, proc_ms_per_unit=0.0,
+            compute_ms=250.0, aggregation_timeout_ms=250.0))
+        assert sim.outcomes
+        assert all(o.failure == "aggregation-timeout" for o in sim.outcomes)
 
 
 def test_status_reports_flow_only_under_coordination():

@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -100,16 +101,13 @@ def _cmd_plot_data(args) -> int:
                 "" if p.std_latency_ms is None else repr(p.std_latency_ms),
                 str(p.repetitions),
             ])
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} points to {args.out}")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    sink = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    with sink as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    if args.out:
+        print(f"wrote {len(rows)} points to {args.out}")
     return 0
 
 

@@ -278,7 +278,9 @@ class _Fnc:
     pending: dict = field(default_factory=dict)
 
 
-# Internal payloads; each one acts on its event's target.
+# Internal payloads.  A periodic tick has no target, acts on every node of
+# its kind and comes back every ``period_ms``; the others act on their
+# event's target.
 @dataclass(frozen=True)
 class _RequestTick:
     pass
@@ -286,17 +288,17 @@ class _RequestTick:
 
 @dataclass(frozen=True)
 class _MobilityTick:
-    pass
+    period_ms: float
 
 
 @dataclass(frozen=True)
 class _ReportTick:
-    pass
+    period_ms: float
 
 
 @dataclass(frozen=True)
 class _DrainTick:
-    pass
+    period_ms: float
 
 
 @dataclass(frozen=True)
@@ -347,10 +349,10 @@ class Simulation:
         self.trace = () if trace is None else trace
         self._traced = trace is not None
         self.messages_total = 0
-        self._msg_counts: dict[str, RequestOutcome] = {}
+        self._outcome_by_id: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
 
-        pile_records = [rec for rec in self.records if rec.node.layer == Layer.FOG.value]
+        pile_records = [rec for rec in self.records if rec.node.layer == Layer.FOG]
         self.piles: dict[NodeId, FogNode] = {}
         for rec in pile_records:
             pile = PileState(
@@ -362,7 +364,7 @@ class Simulation:
 
         self.fncs: dict[NodeId, _Fnc] = {}
         for rec in self.records:
-            if rec.node.layer == Layer.FNC.value:
+            if rec.node.layer == Layer.FNC:
                 self.fncs[rec.node] = _Fnc(rec.node, Registry())
         for fnc in self.fncs.values():
             for host in self.piles.values():
@@ -370,7 +372,7 @@ class Simulation:
 
         self.terminals: dict[NodeId, _Terminal] = {}
         for rec in self.records:
-            if rec.node.layer == Layer.TERMINAL.value:
+            if rec.node.layer == Layer.TERMINAL:
                 draw = self._waypoint_drawer(rec.node)
                 waypoint = draw()
                 heading = _heading(rec.location, waypoint, config.mobility_speed_mps)
@@ -429,16 +431,16 @@ class Simulation:
                 while t < cfg.sim_duration_ms:
                     self.queue.schedule(t, node, _RequestTick())
                     t += arrivals.exponential(mean_gap)
-            if cfg.mobility_step_ms <= cfg.sim_duration_ms:
-                self.queue.schedule(cfg.mobility_step_ms, node, _MobilityTick())
+        self._repeat(_MobilityTick(cfg.mobility_step_ms))
         if cfg.architecture == "coordinated" and self.fncs:
-            for node in self.piles:
-                if cfg.report_period_ms <= cfg.sim_duration_ms:
-                    self.queue.schedule(cfg.report_period_ms, node, _ReportTick())
-        drain_gap = 3_600_000.0 / cfg.service_rate_per_hour
-        for node in self.piles:
-            if drain_gap <= cfg.sim_duration_ms:
-                self.queue.schedule(drain_gap, node, _DrainTick())
+            self._repeat(_ReportTick(cfg.report_period_ms))
+        self._repeat(_DrainTick(3_600_000.0 / cfg.service_rate_per_hour))
+
+    def _repeat(self, tick):
+        """Schedule ``tick`` one period from now if that is inside the run."""
+        nxt = self.queue.clock + tick.period_ms
+        if nxt <= self.config.sim_duration_ms:
+            self.queue.schedule(nxt, None, tick)
 
     # ---------------------------------------------------------- plumbing
     def _receiver_load(self, node: NodeId) -> float:
@@ -447,8 +449,8 @@ class Simulation:
 
     def _count_msg(self, request_id: str | None):
         self.messages_total += 1
-        if request_id is not None and request_id in self._msg_counts:
-            self._msg_counts[request_id].messages_used += 1
+        if request_id is not None:
+            self._outcome_by_id[request_id].messages_used += 1
 
     def send_wireless(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
         departure = self.channel.acquire(self.queue.clock)
@@ -490,6 +492,7 @@ class Simulation:
         cfg = self.config
         horizon = cfg.sim_duration_ms + 2 * cfg.aggregation_timeout_ms + 10_000.0
         self.queue.run_until(horizon, self._handle)
+        self.events_left = len(self.queue)  # events still due past the horizon
         self._ran = True
         return self
 
@@ -500,36 +503,30 @@ class Simulation:
         route(self, event.target, event.payload)
 
     # ------------------------------------------------------ periodic work
-    def _step_terminal(self, node: NodeId, tick: _MobilityTick):
-        term = self.terminals[node]
+    def _step_terminals(self, _, tick: _MobilityTick):
         cfg = self.config
-        term.mobility = step_mobility(
-            term.mobility,
-            cfg.mobility_step_ms,
-            draw_waypoint=term.draw_waypoint,
-            speed=cfg.mobility_speed_mps,
-        )
-        self.positions[node] = term.mobility.position
-        nxt = self.queue.clock + cfg.mobility_step_ms
-        if nxt <= cfg.sim_duration_ms:
-            self.queue.schedule(nxt, node, tick)
+        for node, term in self.terminals.items():
+            term.mobility = step_mobility(
+                term.mobility,
+                cfg.mobility_step_ms,
+                draw_waypoint=term.draw_waypoint,
+                speed=cfg.mobility_speed_mps,
+            )
+            self.positions[node] = term.mobility.position
+        self._repeat(tick)
 
-    def _report_pile(self, node: NodeId, tick: _ReportTick):
-        host = self.piles[node]
-        status = self._status_of(host, self.queue.clock)
-        for fnc in self.fncs.values():
-            self.send_wired(node, fnc.node, StatusReportMsg(status))
-        nxt = self.queue.clock + self.config.report_period_ms
-        if nxt <= self.config.sim_duration_ms:
-            self.queue.schedule(nxt, node, tick)
+    def _report_piles(self, _, tick: _ReportTick):
+        for node, host in self.piles.items():
+            status = self._status_of(host, self.queue.clock)
+            for fnc in self.fncs.values():
+                self.send_wired(node, fnc.node, StatusReportMsg(status))
+        self._repeat(tick)
 
-    def _drain_pile(self, node: NodeId, tick: _DrainTick):
-        host = self.piles[node]
-        if host.pile.queue_len > 0:
-            host.pile.queue_len -= 1
-        nxt = self.queue.clock + 3_600_000.0 / self.config.service_rate_per_hour
-        if nxt <= self.config.sim_duration_ms:
-            self.queue.schedule(nxt, node, tick)
+    def _drain_piles(self, _, tick: _DrainTick):
+        for host in self.piles.values():
+            if host.pile.queue_len > 0:
+                host.pile.queue_len -= 1
+        self._repeat(tick)
 
     # --------------------------------------------------------- requesting
     def _issue_request(self, node: NodeId, tick: _RequestTick):
@@ -547,7 +544,7 @@ class Simulation:
         )
         outcome = RequestOutcome(request.request_id, node, self.queue.clock)
         self.outcomes.append(outcome)
-        self._msg_counts[request.request_id] = outcome
+        self._outcome_by_id[request.request_id] = outcome
         if cfg.architecture == "coordinated":
             self.send_wireless(node, self._fnc_of(request), request, request.request_id)
         else:
@@ -624,7 +621,7 @@ class Simulation:
         )
 
     def _decision_at_terminal(self, node: NodeId, decision: Decision):
-        outcome = self._msg_counts[decision.request_id]
+        outcome = self._outcome_by_id[decision.request_id]
         outcome.decided_at = self.queue.clock
         outcome.latency_ms = self.queue.clock - outcome.issued_at
         outcome.chosen = decision.chosen
@@ -632,7 +629,7 @@ class Simulation:
         self._after_completion(node, outcome)
 
     def _failure_at_terminal(self, node: NodeId, notice: FailureNotice):
-        outcome = self._msg_counts[notice.request_id]
+        outcome = self._outcome_by_id[notice.request_id]
         outcome.failure = notice.reason
 
     def _report_at_fnc(self, fnc_node: NodeId, msg: StatusReportMsg):
@@ -660,7 +657,7 @@ class Simulation:
     def _window_close(self, node: NodeId, close: _WindowClose):
         request_id = close.request_id
         window = self.terminals[node].windows.pop(request_id)
-        outcome = self._msg_counts[request_id]
+        outcome = self._outcome_by_id[request_id]
         if window.results:
             decision = aggregate(request_id, window.results, window.last_arrival)
             outcome.decided_at = window.last_arrival
@@ -697,10 +694,9 @@ class Simulation:
 
     def _candidate_group(self, source: NodeId, origin: Point2D) -> tuple[NodeId, ...]:
         registry = self.fncs[fnc_id(0)].registry
-        fog = Layer.FOG.value
         scored = []
         for status in registry.entries():
-            if status.node.layer != fog or status.node == source:
+            if status.node.layer != Layer.FOG or status.node == source:
                 continue
             if status.resources.queue_len >= status.resources.capacity:
                 continue
@@ -795,8 +791,8 @@ class Simulation:
     _ROUTES = {
         "traditional": {
             _RequestTick: _issue_request,
-            _MobilityTick: _step_terminal,
-            _DrainTick: _drain_pile,
+            _MobilityTick: _step_terminals,
+            _DrainTick: _drain_piles,
             ServiceRequest: _broadcast_at_pile,
             _ComputeDone: _reply_to_terminal,
             JobResult: _reply_at_terminal,
@@ -804,9 +800,9 @@ class Simulation:
         },
         "coordinated": {
             _RequestTick: _issue_request,
-            _MobilityTick: _step_terminal,
-            _ReportTick: _report_pile,
-            _DrainTick: _drain_pile,
+            _MobilityTick: _step_terminals,
+            _ReportTick: _report_piles,
+            _DrainTick: _drain_piles,
             ServiceRequest: _fnc_process,
             JobDispatch: _reply_to_fnc,
             JobResult: _result_at_fnc,

@@ -9,7 +9,6 @@ no message reaches.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,7 +19,9 @@ from .engine import RngStream, SimTime
 from .errors import StaleReport
 
 
-class Layer(enum.Enum):
+class Layer:
+    """The layer tags that ``NodeId.layer`` takes."""
+
     TERMINAL = "terminal"
     FOG = "fog"
     FNC = "fnc"
@@ -41,19 +42,19 @@ class NodeId(NamedTuple):
 
 
 def terminal_id(ordinal: int) -> NodeId:
-    return NodeId(Layer.TERMINAL.value, ordinal)
+    return NodeId(Layer.TERMINAL, ordinal)
 
 
 def fog_id(ordinal: int) -> NodeId:
-    return NodeId(Layer.FOG.value, ordinal)
+    return NodeId(Layer.FOG, ordinal)
 
 
 def fnc_id(ordinal: int) -> NodeId:
-    return NodeId(Layer.FNC.value, ordinal)
+    return NodeId(Layer.FNC, ordinal)
 
 
 def cloud_id(ordinal: int = 0) -> NodeId:
-    return NodeId(Layer.CLOUD.value, ordinal)
+    return NodeId(Layer.CLOUD, ordinal)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def report_status(registry: Registry, status: NodeStatus) -> Registry:
 
 
 def nodes_within(
-    registry: Registry, center: Point2D, range_m: float, layer: Layer
+    registry: Registry, center: Point2D, range_m: float, layer: str
 ) -> list[NodeId]:
     """Registered nodes of ``layer`` within ``range_m`` of ``center``.
 
@@ -147,11 +148,10 @@ def nodes_within(
     """
     if range_m < 0:
         raise ValueError("range_m must be >= 0")
-    tag = layer.value
     hits = [
         (d, status.node)
         for status in registry._entries.values()
-        if status.node.layer == tag
+        if status.node.layer == layer
         and (d := status.location.distance_to(center)) <= range_m
     ]
     hits.sort()

@@ -397,6 +397,28 @@ def test_cli_sweep_then_plot_data(tmp_path):
     assert len(lines) == 1 + 2 * 4
 
 
+def test_cli_plot_data_prints_what_out_writes(tmp_path, capsys):
+    table = MetricsTable()
+    for i, (arch, value, mean) in enumerate([
+        ("traditional", 250.0, 300.5), ("traditional", 250.0, 310.25),
+        ("coordinated", 250.0, None), ("coordinated", 500.0, 1 / 3),
+    ]):
+        table.append(MetricsRow(
+            run_id=f"r{i}", architecture=arch, swept_variable="query_range_m",
+            swept_value=value, seed=i, mean_latency_ms=mean, p95_latency_ms=mean,
+            completed=0 if mean is None else 3, timed_out=0, messages_total=9,
+            migrations=0))
+    sweep = tmp_path / "sweep.csv"
+    emit_csv(table, sweep)
+    plot = tmp_path / "plot.csv"
+    assert main(["plot-data", str(sweep), "--out", str(plot)]) == 0
+    capsys.readouterr()
+    assert main(["plot-data", str(sweep)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.encode() == plot.read_bytes()
+    assert printed.count("\n") == 1 + 3
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("warp_factor = 9\n")

@@ -296,6 +296,32 @@ def test_status_reports_flow_only_under_coordination():
     assert not any(t.kind == "StatusReportMsg" for t in trad.trace)
 
 
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+@pytest.mark.parametrize("service_rate, drains", [(3600.0, 1), (30.0, 0)])
+def test_periodic_duties_are_one_event_each(architecture, service_rate, drains):
+    # Mobility, status reports (coordinated only) and queue drains each
+    # queue one arena-wide event, and only if its first instant is in the run.
+    sim = Simulation(small_config(architecture=architecture,
+                                  service_rate_per_hour=service_rate))
+    queued = len(sim.queue)
+    duties = 1 + (architecture == "coordinated") + drains
+    assert queued == len(sim.run().outcomes) + duties
+
+
+def test_piles_report_in_pile_then_fnc_order_at_each_instant():
+    sim = Simulation(small_config(
+        architecture="coordinated", n_fnc=3, report_period_ms=500.0,
+        mobility_step_ms=500.0, backhaul_base_ms=0.0, backhaul_prop_ms_per_m=0.0,
+        proc_ms_per_unit=0.0), trace=[]).run()
+    by_instant = {}
+    for t in sim.trace:
+        if t.kind == "StatusReportMsg":
+            by_instant.setdefault(t.sent_at, []).append((t.src, t.dst))
+    expected = [(pile, fnc) for pile in sim.piles for fnc in sim.fncs]
+    assert len(by_instant) == sim.config.sim_duration_ms // 500.0
+    assert all(rows == expected for rows in by_instant.values())
+
+
 # --------------------------------------------------------------- accounting
 
 def test_queue_grows_by_one_per_completed_request():
@@ -304,6 +330,13 @@ def test_queue_grows_by_one_per_completed_request():
         completed = sum(1 for o in sim.outcomes if o.completed)
         total_queued = sum(h.pile.queue_len for h in sim.piles.values())
         assert total_queued == completed
+
+
+def test_events_left_counts_what_is_still_queued_at_the_horizon():
+    # Broadcasting over the whole arena at this rate leaves replies queued.
+    sim = run_scenario(ScenarioConfig(seed=1, architecture="traditional",
+                                      request_rate=64.0, query_range_m=2000.0))
+    assert sim.events_left == len(sim.queue) == 1994
 
 
 def test_full_pile_ignores_broadcasts():

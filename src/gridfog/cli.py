@@ -10,7 +10,7 @@ from contextlib import nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, MixedSweepVariables
 from .harness import (
     SWEEP_ALIASES,
     default_sweep,
@@ -88,7 +88,11 @@ def _cmd_plot_data(args) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    series = emit_plot_data(table)
+    try:
+        series = emit_plot_data(table)
+    except MixedSweepVariables as exc:
+        print(f"input error: {args.input}: {exc}", file=sys.stderr)
+        return 2
     header = ["architecture", "swept_value", "mean_latency_ms",
               "std_latency_ms", "repetitions"]
     rows = []

@@ -207,23 +207,27 @@ def parse_csv(path) -> MetricsTable:
                 raise ValueError(f"{path}: line {reader.line_num}: expected "
                                  f"{len(COLUMNS)} cells, got {len(cells)}")
             named = dict(zip(COLUMNS, cells))
-            table.append(MetricsRow(
-                run_id=named["run_id"],
-                architecture=named["architecture"],
-                swept_variable=named["swept_variable"],
-                swept_value=(float(named["swept_value"])
-                             if named["swept_value"] else None),
-                seed=int(named["seed"]),
-                mean_latency_ms=(float(named["mean_latency_ms"])
-                                 if named["mean_latency_ms"] else None),
-                p95_latency_ms=(float(named["p95_latency_ms"])
-                                if named["p95_latency_ms"] else None),
-                completed=int(named["completed"]),
-                timed_out=int(named["timed_out"]),
-                messages_total=int(named["messages_total"]),
-                migrations=int(named["migrations"]),
-                error=named["error"],
-            ))
+            try:
+                row = MetricsRow(
+                    run_id=named["run_id"],
+                    architecture=named["architecture"],
+                    swept_variable=named["swept_variable"],
+                    swept_value=(float(named["swept_value"])
+                                 if named["swept_value"] else None),
+                    seed=int(named["seed"]),
+                    mean_latency_ms=(float(named["mean_latency_ms"])
+                                     if named["mean_latency_ms"] else None),
+                    p95_latency_ms=(float(named["p95_latency_ms"])
+                                    if named["p95_latency_ms"] else None),
+                    completed=int(named["completed"]),
+                    timed_out=int(named["timed_out"]),
+                    messages_total=int(named["messages_total"]),
+                    migrations=int(named["migrations"]),
+                    error=named["error"],
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            table.append(row)
     return table
 
 

@@ -14,7 +14,6 @@ contend.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 from .coordinator import PendingRequest, aggregate, dispatch, filter_candidates
@@ -145,54 +144,6 @@ class ScenarioConfig:
 
 
 @dataclass
-class MobilityState:
-    position: Point2D
-    velocity: tuple[float, float]
-    waypoint: Point2D
-
-
-def step_mobility(
-    state: MobilityState,
-    dt: SimTime,
-    draw_waypoint=None,
-    speed: float | None = None,
-) -> MobilityState:
-    """Advance one mobility step; redraw the waypoint on arrival.
-
-    With no ``draw_waypoint`` the walker stops at its waypoint.  ``speed``
-    defaults to the current speed when re-aiming at a fresh waypoint.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    vx, vy = state.velocity
-    v = math.hypot(vx, vy)
-    if v == 0.0:
-        return state
-    step_len = v * dt / 1000.0
-    remaining = state.position.distance_to(state.waypoint)
-    if step_len < remaining:
-        frac = step_len / remaining
-        nxt = Point2D(
-            state.position.x + (state.waypoint.x - state.position.x) * frac,
-            state.position.y + (state.waypoint.y - state.position.y) * frac,
-        )
-        return MobilityState(nxt, state.velocity, state.waypoint)
-    arrived = state.waypoint
-    if draw_waypoint is None:
-        return MobilityState(arrived, (0.0, 0.0), arrived)
-    target = draw_waypoint()
-    return MobilityState(arrived, _heading(arrived, target, v if speed is None else speed), target)
-
-
-def _heading(start: Point2D, target: Point2D, speed: float) -> tuple[float, float]:
-    """Velocity from ``start`` towards ``target`` at ``speed``; zero if they coincide."""
-    dist = start.distance_to(target)
-    if dist == 0.0:
-        return (0.0, 0.0)
-    return (speed * (target.x - start.x) / dist, speed * (target.y - start.y) / dist)
-
-
-@dataclass
 class RequestOutcome:
     """What became of one charging query, as seen by its terminal."""
 
@@ -255,8 +206,9 @@ class _WirelessChannel:
 @dataclass
 class _Terminal:
     node: NodeId
-    mobility: MobilityState
-    draw_waypoint: Callable[[], Point2D]
+    waypoints: RngStream
+    waypoint: Point2D | None = None
+    step_m: float = 0.0  # metres walked per mobility step; 0 stops the walker
     requests_issued: int = 0
     serving_pile: NodeId | None = None
     flow_id: str | None = None
@@ -366,23 +318,21 @@ class Simulation:
         for rec in self.records:
             if rec.node.layer == Layer.FNC:
                 self.fncs[rec.node] = _Fnc(rec.node, Registry())
-        for fnc in self.fncs.values():
-            for host in self.piles.values():
-                report_status(fnc.registry, self._status_of(host, 0.0))
 
         self.terminals: dict[NodeId, _Terminal] = {}
         for rec in self.records:
             if rec.node.layer == Layer.TERMINAL:
-                draw = self._waypoint_drawer(rec.node)
-                waypoint = draw()
-                heading = _heading(rec.location, waypoint, config.mobility_speed_mps)
-                self.terminals[rec.node] = _Terminal(
-                    rec.node, MobilityState(rec.location, heading, waypoint), draw
-                )
+                term = _Terminal(rec.node, self.rng.child(f"waypoint/{rec.node}"))
+                self._aim(term, rec.location)
+                self.terminals[rec.node] = term
 
         if config.architecture == "coordinated":
+            # Only coordination reads a registry; each starts knowing every pile.
+            for fnc in self.fncs.values():
+                for host in self.piles.values():
+                    report_status(fnc.registry, self._status_of(host, 0.0))
             for term in self.terminals.values():
-                nearest = self.pile_index.nearest(term.mobility.position)
+                nearest = self.pile_index.nearest(self.positions[term.node])
                 if nearest is None:
                     continue
                 flow_id = f"flow-{term.node}"
@@ -399,15 +349,25 @@ class Simulation:
         self._ran = False
 
     # ------------------------------------------------------------- build
-    def _waypoint_drawer(self, node: NodeId):
-        stream = self.rng.child(f"waypoint/{node}")
-        radius = self.config.arena_diameter_m / 2.0
+    def _aim(self, term: _Terminal, start: Point2D):
+        """Draw ``term``'s next waypoint and the metres it walks towards it per step.
 
-        def draw() -> Point2D:
-            x, y = stream.disk_point(0.0, 0.0, radius)
-            return Point2D(x, y)
-
-        return draw
+        The step length is the length of the velocity vector (the unit
+        heading times the configured speed), which can differ from the
+        configured speed in its last bit; the recorded outputs depend on
+        that bit.  A waypoint equal to ``start`` stops the walker for good.
+        """
+        cfg = self.config
+        x, y = term.waypoints.disk_point(0.0, 0.0, cfg.arena_diameter_m / 2.0)
+        term.waypoint = target = Point2D(x, y)
+        dist = start.distance_to(target)
+        if dist == 0.0:
+            term.step_m = 0.0
+            return
+        speed = cfg.mobility_speed_mps
+        velocity = math.hypot(speed * (target.x - start.x) / dist,
+                              speed * (target.y - start.y) / dist)
+        term.step_m = velocity * cfg.mobility_step_ms / 1000.0
 
     def _status_of(self, host: FogNode, at: SimTime) -> NodeStatus:
         return NodeStatus(
@@ -504,15 +464,25 @@ class Simulation:
 
     # ------------------------------------------------------ periodic work
     def _step_terminals(self, _, tick: _MobilityTick):
-        cfg = self.config
+        """Walk every terminal one step straight at its waypoint.
+
+        A walker that would reach or pass its waypoint lands on it exactly
+        and aims at a fresh one.
+        """
+        positions = self.positions
         for node, term in self.terminals.items():
-            term.mobility = step_mobility(
-                term.mobility,
-                cfg.mobility_step_ms,
-                draw_waypoint=term.draw_waypoint,
-                speed=cfg.mobility_speed_mps,
-            )
-            self.positions[node] = term.mobility.position
+            step_m = term.step_m
+            if step_m == 0.0:
+                continue
+            here, there = positions[node], term.waypoint
+            remaining = here.distance_to(there)
+            if step_m < remaining:
+                frac = step_m / remaining
+                positions[node] = Point2D(here.x + (there.x - here.x) * frac,
+                                          here.y + (there.y - here.y) * frac)
+            else:
+                positions[node] = there
+                self._aim(term, there)
         self._repeat(tick)
 
     def _report_piles(self, _, tick: _ReportTick):
@@ -537,7 +507,7 @@ class Simulation:
         request = ServiceRequest(
             request_id=f"{node}/r{seq}",
             requester=node,
-            origin=term.mobility.position,
+            origin=self.positions[node],
             kind="charging-query",
             query_range_m=cfg.query_range_m,
             issued_at=self.queue.clock,
@@ -688,7 +658,7 @@ class Simulation:
             self.send_wireless(
                 node, term.serving_pile,
                 LatencyComplaint(
-                    term.flow_id, node, term.mobility.position, term.ewma_ms
+                    term.flow_id, node, self.positions[node], term.ewma_ms
                 ),
             )
 

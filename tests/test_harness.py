@@ -107,6 +107,7 @@ def test_non_finite_value_is_invalid(tmp_path, line):
         "max_migration_attempts",
     )),
     ["t_upper_ms = 0"], ["w_dist = -1"], ["w_wait = -1"], ["w_dist = 0", "w_wait = 0"],
+    ["mobility_step_ms = 0"], ["report_period_ms = 0"],
 ])
 def test_bad_sign_is_invalid_at_its_line(tmp_path, lines):
     # Each of these used to load and only fail mid-run, or never.
@@ -444,6 +445,11 @@ def test_cli_sweep_rejects_non_positive_reps(reps, capsys):
                  f"line 2: expected {len(COLUMNS)} cells, got 2", id="short-row"),
     pytest.param(",".join(COLUMNS) + "\nr1,traditional,,,1,,,0,0,0,0,,extra\n",
                  f"line 2: expected {len(COLUMNS)} cells, got 13", id="long-row"),
+    pytest.param(",".join(COLUMNS) + "\nr1,traditional,n_fnc,1.0,1,,,0,0,0,0,\n"
+                 "r2,traditional,query_range_m,250.0,1,,,0,0,0,0,\n",
+                 "rows mix sweep variables", id="mixed-variables"),
+    pytest.param(",".join(COLUMNS) + "\nr1,traditional,n_fnc,abc,1,,,0,0,0,0,\n",
+                 "line 2: could not convert string to float: 'abc'", id="bad-number"),
 ])
 def test_cli_plot_data_reports_unreadable_input(tmp_path, capsys, content, message):
     path = tmp_path / "input.csv"

@@ -7,13 +7,7 @@ import pytest
 
 from gridfog.engine import LatencyModel, link_latency
 from gridfog.messages import ServiceRequest
-from gridfog.scenario import (
-    MobilityState,
-    ScenarioConfig,
-    Simulation,
-    run_scenario,
-    step_mobility,
-)
+from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
 from gridfog.topology import Point2D
 
 
@@ -40,59 +34,135 @@ def run_noting_origins(config, **kwargs):
 
 # ---------------------------------------------------------------- mobility
 
+def reference_walk(start, waypoints, speed, dt):
+    """Yield a walker's position after each step, by the random-waypoint arithmetic.
+
+    The walker heads for its waypoint with velocity ``speed`` times the unit
+    vector towards it, covers ``|velocity| * dt`` per step, lands exactly on
+    the waypoint when that reaches or passes it, and then aims at the next
+    draw of ``waypoints``.  A zero velocity never changes again.
+    """
+    def heading(frm, to):
+        dist = frm.distance_to(to)
+        if dist == 0.0:
+            return (0.0, 0.0)
+        return (speed * (to.x - frm.x) / dist, speed * (to.y - frm.y) / dist)
+
+    position, waypoint = start, waypoints()
+    velocity = heading(position, waypoint)
+    while True:
+        v = math.hypot(*velocity)
+        if v != 0.0:
+            step_len = v * dt / 1000.0
+            remaining = position.distance_to(waypoint)
+            if step_len < remaining:
+                frac = step_len / remaining
+                position = Point2D(position.x + (waypoint.x - position.x) * frac,
+                                   position.y + (waypoint.y - position.y) * frac)
+            else:
+                position, waypoint = waypoint, waypoints()
+                velocity = heading(position, waypoint)
+        yield position
+
+
+def positions_each_step(sim):
+    """Run ``sim`` one mobility step at a time; yield its positions after each."""
+    step_ms = sim.config.mobility_step_ms
+    for k in range(1, int(sim.config.sim_duration_ms // step_ms) + 1):
+        sim.queue.run_until(k * step_ms, sim._handle)
+        yield sim.positions
+
+
+class FixedDraws:
+    """Stands in for a terminal's waypoint stream, handing out given points."""
+
+    def __init__(self, *points):
+        self.points = list(points)
+
+    def disk_point(self, cx, cy, radius):
+        point = self.points.pop(0)
+        return point.x, point.y
+
+
+def one_walker(start, *waypoints, speed=10.0):
+    """A run whose only terminal starts at ``start`` and draws ``waypoints``."""
+    sim = Simulation(ScenarioConfig(
+        architecture="traditional", n_terminals=1, n_fog=1, n_fnc=0,
+        request_rate=0.0, mobility_speed_mps=speed, mobility_step_ms=1000.0,
+        sim_duration_ms=5000.0))
+    (node, term), = sim.terminals.items()
+    sim.positions[node] = start
+    term.waypoints = FixedDraws(*waypoints)
+    sim._aim(term, start)
+    return sim, node, term
+
+
+def test_positions_follow_the_reference_walk():
+    # A 200 m arena makes every walker land on and re-aim at many waypoints.
+    sim = Simulation(small_config(arena_diameter_m=200.0, n_terminals=12,
+                                  sim_duration_ms=60_000.0))
+    cfg = sim.config
+    walks, draws = {}, Counter()
+
+    def drawer(node):
+        stream = sim.rng.child(f"waypoint/{node}")
+
+        def draw():
+            draws[node] += 1
+            return Point2D(*stream.disk_point(0.0, 0.0, cfg.arena_diameter_m / 2.0))
+        return draw
+
+    for node in sim.terminals:
+        walks[node] = reference_walk(sim.positions[node], drawer(node),
+                                     cfg.mobility_speed_mps, cfg.mobility_step_ms)
+    for positions in positions_each_step(sim):
+        for node, walk in walks.items():
+            assert positions[node] == next(walk)
+    assert min(draws.values()) > 5  # every walker landed and re-aimed
+
+
 def test_mobility_zero_velocity_is_stationary():
-    state = MobilityState(Point2D(3.0, 4.0), (0.0, 0.0), Point2D(3.0, 4.0))
-    after = step_mobility(state, 500.0)
-    assert after.position == Point2D(3.0, 4.0)
-    assert after.velocity == (0.0, 0.0)
+    sim = Simulation(small_config(mobility_speed_mps=0.0))
+    start = dict(sim.positions)
+    sim.run()
+    assert sim.outcomes
+    assert sim.positions == start
+
+
+def test_mobility_aimed_at_its_own_position_never_moves_again():
+    sim, node, term = one_walker(Point2D(3.0, 4.0), Point2D(3.0, 4.0))
+    assert term.step_m == 0.0
+    for positions in positions_each_step(sim):  # a further draw would raise
+        assert positions[node] == Point2D(3.0, 4.0)
 
 
 def test_mobility_advances_by_speed_times_dt():
-    state = MobilityState(Point2D(0.0, 0.0), (10.0, 0.0), Point2D(100.0, 0.0))
-    after = step_mobility(state, 1000.0)
-    assert after.position.x == pytest.approx(10.0)
-    assert after.position.y == pytest.approx(0.0)
-    assert after.velocity == (10.0, 0.0)
-
-
-def test_mobility_stops_at_waypoint_without_drawer():
-    state = MobilityState(Point2D(0.0, 0.0), (10.0, 0.0), Point2D(5.0, 0.0))
-    after = step_mobility(state, 1000.0)
-    assert after.position == Point2D(5.0, 0.0)
-    assert after.velocity == (0.0, 0.0)
+    sim, node, term = one_walker(Point2D(0.0, 0.0), Point2D(100.0, 0.0))
+    assert term.step_m == 10.0
+    for k, positions in enumerate(positions_each_step(sim), start=1):
+        assert positions[node].x == pytest.approx(10.0 * k)
+        assert positions[node].y == 0.0
 
 
 def test_mobility_redraws_and_reaims_on_arrival():
-    state = MobilityState(Point2D(0.0, 0.0), (10.0, 0.0), Point2D(5.0, 0.0))
-    after = step_mobility(state, 1000.0, draw_waypoint=lambda: Point2D(5.0, 80.0),
-                          speed=15.0)
-    assert after.position == Point2D(5.0, 0.0)
-    assert after.waypoint == Point2D(5.0, 80.0)
-    assert math.hypot(*after.velocity) == pytest.approx(15.0)
-    assert after.velocity[0] == pytest.approx(0.0)
-
-
-def test_mobility_rejects_nonpositive_dt():
-    state = MobilityState(Point2D(0.0, 0.0), (1.0, 0.0), Point2D(9.0, 0.0))
-    with pytest.raises(ValueError):
-        step_mobility(state, 0.0)
+    sim, node, term = one_walker(Point2D(0.0, 0.0), Point2D(5.0, 0.0),
+                                 Point2D(5.0, 80.0), speed=15.0)
+    steps = positions_each_step(sim)
+    assert next(steps)[node] == Point2D(5.0, 0.0)
+    assert term.waypoint == Point2D(5.0, 80.0)
+    assert term.step_m == pytest.approx(15.0)
+    after = next(steps)[node]
+    assert after.x == 5.0
+    assert after.y == pytest.approx(15.0)
 
 
 def test_mobility_stays_inside_the_arena():
-    from gridfog.engine import RngStream
-
-    stream = RngStream(99, "walk")
-    radius = 1000.0
-
-    def draw():
-        x, y = stream.disk_point(0.0, 0.0, radius)
-        return Point2D(x, y)
-
-    state = MobilityState(Point2D(0.0, 0.0), (0.0, 0.0), Point2D(0.0, 0.0))
-    state = MobilityState(state.position, (15.0, 0.0), draw())
-    for _ in range(2000):
-        state = step_mobility(state, 500.0, draw_waypoint=draw, speed=15.0)
-        assert math.hypot(state.position.x, state.position.y) <= radius + 1e-6
+    sim = Simulation(small_config(n_terminals=40, sim_duration_ms=300_000.0,
+                                  request_rate=0.0))
+    radius = sim.config.arena_diameter_m / 2.0
+    for positions in positions_each_step(sim):
+        for node in sim.terminals:
+            assert math.hypot(positions[node].x, positions[node].y) <= radius + 1e-6
 
 
 # --------------------------------------------------------- frozen scenarios

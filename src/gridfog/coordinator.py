@@ -3,13 +3,10 @@
 The coordinator reads its registry of pile reports, narrows to in-range
 piles with queue headroom (the candidate group, which doubles as the
 migration group V downstream), dispatches one job per candidate, and
-decides for the lowest score once all results are in or the aggregation
-window closes.
+picks the lowest score among the results its reply window gathered.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .engine import SimTime
 from .errors import EmptyResultSet, NoEligibleNodes
@@ -49,18 +46,3 @@ def aggregate(request_id: str, results: list[JobResult], clock: SimTime) -> Deci
         raise EmptyResultSet(request_id)
     best = min(matching, key=lambda r: (r.score, r.responder.ordinal, r.responder))
     return Decision(request_id=request_id, chosen=best.responder, decided_at=clock)
-
-
-@dataclass
-class PendingRequest:
-    """Per-request aggregation state an FNC keeps between dispatch and decision."""
-
-    request: ServiceRequest
-    candidates: list[NodeId]
-    results: list[JobResult] = field(default_factory=list)
-
-    def record(self, result: JobResult) -> None:
-        self.results.append(result)
-
-    def complete(self) -> bool:
-        return len(self.results) >= len(self.candidates)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .engine import SimTime
 from .errors import CapacityExceeded, FlowNotResident
-from .messages import JobResult, PileOffer, ServiceRequest
+from .messages import JobResult, ServiceRequest
 from .topology import NodeId, Point2D
 
 log = logging.getLogger(__name__)
@@ -81,10 +81,6 @@ class PileState:
     def expected_wait_hours(self) -> float:
         return self.queue_len / self.service_rate
 
-    @property
-    def expected_wait_ms(self) -> float:
-        return self.expected_wait_hours * 3_600_000.0
-
 
 def evaluate_charging_request(
     request: ServiceRequest, pile: PileState, weights: tuple[float, float]
@@ -101,12 +97,7 @@ def evaluate_charging_request(
     score = w_dist * dist + w_wait * pile.expected_wait_hours
     if not math.isfinite(score):
         raise ValueError("score must be finite")
-    return JobResult(
-        request_id=request.request_id,
-        responder=pile.node,
-        score=score,
-        payload=PileOffer(location=pile.location, expected_wait_ms=pile.expected_wait_ms),
-    )
+    return JobResult(request_id=request.request_id, responder=pile.node, score=score)
 
 
 class FlowInstance:

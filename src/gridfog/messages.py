@@ -25,14 +25,6 @@ class ServiceRequest:
 
 
 @dataclass(frozen=True)
-class PileOffer:
-    """What a pile puts on the table: where it is and how long the wait."""
-
-    location: Point2D
-    expected_wait_ms: float
-
-
-@dataclass(frozen=True)
 class JobDispatch:
     """One candidate's share of a request: the pile scores ``request`` itself."""
 
@@ -50,7 +42,6 @@ class JobResult:
     request_id: str
     responder: NodeId
     score: float
-    payload: PileOffer
 
     def __post_init__(self):
         if not (self.score >= 0 and self.score == self.score and self.score != float("inf")):

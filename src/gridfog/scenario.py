@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .coordinator import PendingRequest, aggregate, dispatch, filter_candidates
+from .coordinator import aggregate, dispatch, filter_candidates
 from .engine import EventQueue, LatencyModel, RngStream, SimTime, link_latency
 from .errors import CapacityExceeded, NoEligibleNodes
 from .fognode import (
@@ -214,20 +214,20 @@ class _Terminal:
     flow_id: str | None = None
     ewma_ms: float | None = None
     migration_active: bool = False
-    windows: dict = field(default_factory=dict)
 
 
 @dataclass
 class _ReplyWindow:
+    """The replies one request's decider, a terminal or an FNC, gathers.
+
+    An FNC expects one reply per dispatched job and decides once they are
+    all in; a broadcasting terminal expects none and waits for the deadline.
+    """
+
+    request: ServiceRequest
+    expected: int = 0
     results: list[JobResult] = field(default_factory=list)
     last_arrival: SimTime | None = None
-
-
-@dataclass
-class _Fnc:
-    node: NodeId
-    registry: Registry
-    pending: dict = field(default_factory=dict)
 
 
 # Internal payloads.  A periodic tick has no target, acts on every node of
@@ -259,12 +259,7 @@ class _ComputeDone:
 
 
 @dataclass(frozen=True)
-class _AggTimeout:
-    request_id: str
-
-
-@dataclass(frozen=True)
-class _WindowClose:
+class _Deadline:
     request_id: str
 
 
@@ -303,6 +298,8 @@ class Simulation:
         self.messages_total = 0
         self._outcome_by_id: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
+        # One reply window per open request, whichever node decides it.
+        self._windows: dict[str, _ReplyWindow] = {}
 
         pile_records = [rec for rec in self.records if rec.node.layer == Layer.FOG]
         self.piles: dict[NodeId, FogNode] = {}
@@ -314,10 +311,9 @@ class Simulation:
             self.piles[rec.node] = FogNode(pile, capacity=config.capacity)
         self.pile_index = PileIndex(pile_records)
 
-        self.fncs: dict[NodeId, _Fnc] = {}
-        for rec in self.records:
-            if rec.node.layer == Layer.FNC:
-                self.fncs[rec.node] = _Fnc(rec.node, Registry())
+        self.registries: dict[NodeId, Registry] = {
+            rec.node: Registry() for rec in self.records if rec.node.layer == Layer.FNC
+        }
 
         self.terminals: dict[NodeId, _Terminal] = {}
         for rec in self.records:
@@ -328,9 +324,10 @@ class Simulation:
 
         if config.architecture == "coordinated":
             # Only coordination reads a registry; each starts knowing every pile.
-            for fnc in self.fncs.values():
-                for host in self.piles.values():
-                    report_status(fnc.registry, self._status_of(host, 0.0))
+            for host in self.piles.values():
+                status = self._status_of(host, 0.0)
+                for registry in self.registries.values():
+                    report_status(registry, status)
             for term in self.terminals.values():
                 nearest = self.pile_index.nearest(self.positions[term.node])
                 if nearest is None:
@@ -392,7 +389,7 @@ class Simulation:
                     self.queue.schedule(t, node, _RequestTick())
                     t += arrivals.exponential(mean_gap)
         self._repeat(_MobilityTick(cfg.mobility_step_ms))
-        if cfg.architecture == "coordinated" and self.fncs:
+        if cfg.architecture == "coordinated" and self.registries:
             self._repeat(_ReportTick(cfg.report_period_ms))
         self._repeat(_DrainTick(3_600_000.0 / cfg.service_rate_per_hour))
 
@@ -488,8 +485,8 @@ class Simulation:
     def _report_piles(self, _, tick: _ReportTick):
         for node, host in self.piles.items():
             status = self._status_of(host, self.queue.clock)
-            for fnc in self.fncs.values():
-                self.send_wired(node, fnc.node, StatusReportMsg(status))
+            for fnc_node in self.registries:
+                self.send_wired(node, fnc_node, StatusReportMsg(status))
         self._repeat(tick)
 
     def _drain_piles(self, _, tick: _DrainTick):
@@ -518,11 +515,11 @@ class Simulation:
         if cfg.architecture == "coordinated":
             self.send_wireless(node, self._fnc_of(request), request, request.request_id)
         else:
-            term.windows[request.request_id] = _ReplyWindow()
+            self._windows[request.request_id] = _ReplyWindow(request)
             for _, pile in self.pile_index.within(request.origin, cfg.query_range_m):
                 self.send_wireless(node, pile, request, request.request_id)
             self.queue.schedule_in(
-                cfg.aggregation_timeout_ms, node, _WindowClose(request.request_id)
+                cfg.aggregation_timeout_ms, node, _Deadline(request.request_id)
             )
 
     # ------------------------------------------------------- coordinated
@@ -531,9 +528,8 @@ class Simulation:
         return fnc_id(sector_index(request.origin, self.config.n_fnc))
 
     def _fnc_process(self, fnc_node: NodeId, request: ServiceRequest):
-        fnc = self.fncs[fnc_node]
         try:
-            candidates = filter_candidates(fnc.registry, request)
+            candidates = filter_candidates(self.registries[fnc_node], request)
         except NoEligibleNodes:
             self.send_wireless(
                 fnc_node, request.requester,
@@ -541,11 +537,11 @@ class Simulation:
                 request.request_id,
             )
             return
-        fnc.pending[request.request_id] = PendingRequest(request, candidates)
+        self._windows[request.request_id] = _ReplyWindow(request, len(candidates))
         for job in dispatch(request, candidates, self.queue.clock):
             self.send_wired(fnc_node, job.assignee, job, request.request_id)
         self.queue.schedule_in(
-            self.config.aggregation_timeout_ms, fnc_node, _AggTimeout(request.request_id)
+            self.config.aggregation_timeout_ms, fnc_node, _Deadline(request.request_id)
         )
 
     def _evaluate(self, pile_node: NodeId, request: ServiceRequest) -> JobResult:
@@ -558,52 +554,40 @@ class Simulation:
         self.send_wired(pile_node, self._fnc_of(request), result, request.request_id)
 
     def _result_at_fnc(self, fnc_node: NodeId, result: JobResult):
-        fnc = self.fncs[fnc_node]
-        pending = fnc.pending.get(result.request_id)
-        if pending is None:
+        window = self._windows.get(result.request_id)
+        if window is None:
             return  # arrived after the aggregation window closed
-        pending.record(result)
-        if pending.complete():
-            self._decide(fnc, pending)
+        window.results.append(result)
+        if len(window.results) >= window.expected:
+            self._decide(fnc_node, self._windows.pop(result.request_id))
 
-    def _agg_timeout(self, fnc_node: NodeId, timeout: _AggTimeout):
-        request_id = timeout.request_id
-        fnc = self.fncs[fnc_node]
-        pending = fnc.pending.get(request_id)
-        if pending is None:
-            return
-        if pending.results:
-            self._decide(fnc, pending)
+    def _agg_timeout(self, fnc_node: NodeId, deadline: _Deadline):
+        request_id = deadline.request_id
+        window = self._windows.pop(request_id, None)
+        if window is None:
+            return  # decided when its last reply came in
+        if window.results:
+            self._decide(fnc_node, window)
         else:
-            del fnc.pending[request_id]
             self.send_wireless(
-                fnc.node, pending.request.requester,
+                fnc_node, window.request.requester,
                 FailureNotice(request_id, "aggregation-timeout"), request_id,
             )
 
-    def _decide(self, fnc: _Fnc, pending: PendingRequest):
-        decision = aggregate(
-            pending.request.request_id, pending.results, self.queue.clock
-        )
-        del fnc.pending[pending.request.request_id]
-        self.send_wireless(
-            fnc.node, pending.request.requester, decision, pending.request.request_id
-        )
+    def _decide(self, fnc_node: NodeId, window: _ReplyWindow):
+        request = window.request
+        decision = aggregate(request.request_id, window.results, self.queue.clock)
+        self.send_wireless(fnc_node, request.requester, decision, request.request_id)
 
     def _decision_at_terminal(self, node: NodeId, decision: Decision):
-        outcome = self._outcome_by_id[decision.request_id]
-        outcome.decided_at = self.queue.clock
-        outcome.latency_ms = self.queue.clock - outcome.issued_at
-        outcome.chosen = decision.chosen
-        self.piles[decision.chosen].pile.queue_len += 1
-        self._after_completion(node, outcome)
+        self._complete(node, decision, self.queue.clock)
 
     def _failure_at_terminal(self, node: NodeId, notice: FailureNotice):
         outcome = self._outcome_by_id[notice.request_id]
         outcome.failure = notice.reason
 
     def _report_at_fnc(self, fnc_node: NodeId, msg: StatusReportMsg):
-        report_status(self.fncs[fnc_node].registry, msg.status)
+        report_status(self.registries[fnc_node], msg.status)
 
     # ------------------------------------------------------- traditional
     def _broadcast_at_pile(self, pile_node: NodeId, request: ServiceRequest):
@@ -618,27 +602,33 @@ class Simulation:
         self.send_wireless(pile_node, request.requester, result, request.request_id)
 
     def _reply_at_terminal(self, node: NodeId, result: JobResult):
-        window = self.terminals[node].windows.get(result.request_id)
+        window = self._windows.get(result.request_id)
         if window is None:
             return  # arrived after the reply window closed
         window.results.append(result)
         window.last_arrival = self.queue.clock
 
-    def _window_close(self, node: NodeId, close: _WindowClose):
-        request_id = close.request_id
-        window = self.terminals[node].windows.pop(request_id)
-        outcome = self._outcome_by_id[request_id]
+    def _window_close(self, node: NodeId, deadline: _Deadline):
+        request_id = deadline.request_id
+        window = self._windows.pop(request_id)
         if window.results:
             decision = aggregate(request_id, window.results, window.last_arrival)
-            outcome.decided_at = window.last_arrival
-            outcome.latency_ms = window.last_arrival - outcome.issued_at
-            outcome.chosen = decision.chosen
-            self.piles[decision.chosen].pile.queue_len += 1
+            self._complete(node, decision, window.last_arrival)
         else:
-            outcome.failure = "request-timed-out"
+            self._outcome_by_id[request_id].failure = "request-timed-out"
 
     # --------------------------------------------------------- migration
-    def _after_completion(self, node: NodeId, outcome: RequestOutcome):
+    def _complete(self, node: NodeId, decision: Decision, at: SimTime):
+        """Record ``decision`` as reaching ``node`` at ``at``; complain if it is slow.
+
+        Only a terminal with a flow, which a traditional one never has,
+        tracks its latency and may ask its serving pile to migrate.
+        """
+        outcome = self._outcome_by_id[decision.request_id]
+        outcome.decided_at = at
+        outcome.latency_ms = at - outcome.issued_at
+        outcome.chosen = decision.chosen
+        self.piles[decision.chosen].pile.queue_len += 1
         cfg = self.config
         term = self.terminals[node]
         if term.flow_id is None:
@@ -663,7 +653,7 @@ class Simulation:
             )
 
     def _candidate_group(self, source: NodeId, origin: Point2D) -> tuple[NodeId, ...]:
-        registry = self.fncs[fnc_id(0)].registry
+        registry = self.registries[fnc_id(0)]
         scored = []
         for status in registry.entries():
             if status.node.layer != Layer.FOG or status.node == source:
@@ -766,7 +756,7 @@ class Simulation:
             ServiceRequest: _broadcast_at_pile,
             _ComputeDone: _reply_to_terminal,
             JobResult: _reply_at_terminal,
-            _WindowClose: _window_close,
+            _Deadline: _window_close,
         },
         "coordinated": {
             _RequestTick: _issue_request,
@@ -776,7 +766,7 @@ class Simulation:
             ServiceRequest: _fnc_process,
             JobDispatch: _reply_to_fnc,
             JobResult: _result_at_fnc,
-            _AggTimeout: _agg_timeout,
+            _Deadline: _agg_timeout,
             Decision: _decision_at_terminal,
             FailureNotice: _failure_at_terminal,
             StatusReportMsg: _report_at_fnc,

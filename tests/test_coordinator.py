@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from gridfog.coordinator import PendingRequest, aggregate, dispatch, filter_candidates
+from gridfog.coordinator import aggregate, dispatch, filter_candidates
 from gridfog.errors import EmptyResultSet, NoEligibleNodes
-from gridfog.messages import JobResult, PileOffer, ServiceRequest
+from gridfog.messages import JobResult, ServiceRequest
 from gridfog.topology import (
     NodeStatus,
     Point2D,
@@ -39,10 +39,6 @@ def register_pile(reg, ordinal, x, y, queue_len=0, capacity=64, t=0.0):
             t,
         ),
     )
-
-
-def offer():
-    return PileOffer(Point2D(0, 0), 0.0)
 
 
 def test_single_nearby_pile_is_candidate():
@@ -120,16 +116,16 @@ def test_dispatch_requires_candidates():
 
 
 def test_aggregate_single_result():
-    d = aggregate("r1", [JobResult("r1", fog_id(2), 5.0, offer())], clock=30.0)
+    d = aggregate("r1", [JobResult("r1", fog_id(2), 5.0)], clock=30.0)
     assert d.chosen == fog_id(2)
     assert d.decided_at == 30.0
 
 
 def test_aggregate_tie_breaks_by_ordinal():
     results = [
-        JobResult("r1", fog_id(5), 3.0, offer()),
-        JobResult("r1", fog_id(2), 2.0, offer()),
-        JobResult("r1", fog_id(1), 2.0, offer()),
+        JobResult("r1", fog_id(5), 3.0),
+        JobResult("r1", fog_id(2), 2.0),
+        JobResult("r1", fog_id(1), 2.0),
     ]
     assert aggregate("r1", results, clock=0.0).chosen == fog_id(1)
 
@@ -138,7 +134,7 @@ def test_aggregate_matches_argmin_oracle():
     rng = random.Random(17)
     for _ in range(50):
         results = [
-            JobResult("r1", fog_id(i), rng.uniform(0, 100), offer()) for i in range(10)
+            JobResult("r1", fog_id(i), rng.uniform(0, 100)) for i in range(10)
         ]
         rng.shuffle(results)
         decision = aggregate("r1", results, clock=1.0)
@@ -154,13 +150,4 @@ def test_aggregate_empty_results():
 
 def test_aggregate_ignores_foreign_request_ids():
     with pytest.raises(EmptyResultSet):
-        aggregate("r1", [JobResult("r2", fog_id(0), 1.0, offer())], clock=0.0)
-
-
-def test_pending_request_completion():
-    req = request_at(0, 0)
-    pending = PendingRequest(req, [fog_id(0), fog_id(1)])
-    assert not pending.complete()
-    pending.record(JobResult("r1", fog_id(0), 1.0, offer()))
-    pending.record(JobResult("r1", fog_id(1), 2.0, offer()))
-    assert pending.complete()
+        aggregate("r1", [JobResult("r2", fog_id(0), 1.0)], clock=0.0)

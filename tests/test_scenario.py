@@ -387,7 +387,7 @@ def test_piles_report_in_pile_then_fnc_order_at_each_instant():
     for t in sim.trace:
         if t.kind == "StatusReportMsg":
             by_instant.setdefault(t.sent_at, []).append((t.src, t.dst))
-    expected = [(pile, fnc) for pile in sim.piles for fnc in sim.fncs]
+    expected = [(pile, fnc) for pile in sim.piles for fnc in sim.registries]
     assert len(by_instant) == sim.config.sim_duration_ms // 500.0
     assert all(rows == expected for rows in by_instant.values())
 
@@ -445,10 +445,28 @@ def test_traditional_decides_within_the_reply_window():
             assert o.latency_ms <= sim.config.aggregation_timeout_ms + 1e-9
 
 
-def test_traditional_run_leaves_no_reply_window_open():
-    sim = run_scenario(small_config(architecture="traditional"))
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+def test_run_leaves_no_reply_window_open(architecture):
+    sim = run_scenario(small_config(architecture=architecture))
     assert sim.outcomes
-    assert all(not term.windows for term in sim.terminals.values())
+    assert not sim._windows
+
+
+def test_fnc_decides_when_the_last_dispatched_job_replies():
+    # A deadline this long never closes a window that every job answers,
+    # so each decision leaves the FNC on its last reply's arrival.
+    sim = Simulation(small_config(architecture="coordinated",
+                                  aggregation_timeout_ms=60_000.0), trace=[]).run()
+    rows = {}
+    for t in sim.trace:
+        rows.setdefault(t.request_id, {}).setdefault(t.kind, []).append(t)
+    decided = {rid: kinds for rid, kinds in rows.items() if "Decision" in kinds}
+    assert decided
+    for kinds in decided.values():
+        results = kinds["JobResult"]
+        assert len(results) == len(kinds["JobDispatch"])
+        [decision] = kinds["Decision"]
+        assert decision.sent_at == max(r.arrives_at for r in results)
 
 
 class _Stray:

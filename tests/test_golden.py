@@ -1,0 +1,78 @@
+"""Pinned output of a small matrix of traced runs.
+
+Each config's digest is a sha256 over, for each of its seeds in order,
+the repr of every ``RequestOutcome``, ``MigrationAudit`` and ``SendTrace``
+of the run, its summary row and its ``events_left``.  A change that is
+meant to keep every output byte must leave every digest as it is.  A
+change that is meant to alter output re-records them with
+``python3 tests/record_golden.py`` and names each config whose digest
+moved.
+
+The digests below were recorded with CPython 3.11.7 and numpy 2.4.6.
+"""
+
+import hashlib
+
+import pytest
+
+from gridfog.scenario import ScenarioConfig, Simulation
+
+SEEDS = (1, 2, 3)
+
+# A backhaul that takes no time at all: replies land on the very instant
+# some other event is due.
+_INSTANT_BACKHAUL = dict(backhaul_base_ms=0.0, backhaul_prop_ms_per_m=0.0,
+                         proc_ms_per_unit=0.0)
+
+CONFIGS = {
+    "coordinated": dict(architecture="coordinated"),
+    "traditional": dict(architecture="traditional"),
+    # Status reports, mobility steps and zero-latency replies share instants.
+    "coordinated-instant-backhaul": dict(
+        architecture="coordinated", report_period_ms=500.0, mobility_step_ms=500.0,
+        **_INSTANT_BACKHAUL),
+    # Every reply reaches its FNC exactly at the aggregation deadline.
+    "coordinated-reply-at-deadline": dict(
+        architecture="coordinated", query_range_m=2800.0, compute_ms=250.0,
+        aggregation_timeout_ms=250.0, **_INSTANT_BACKHAUL),
+    "coordinated-1ms-window": dict(
+        architecture="coordinated", query_range_m=1200.0, aggregation_timeout_ms=1.0),
+    "traditional-1ms-window": dict(
+        architecture="traditional", query_range_m=1200.0, aggregation_timeout_ms=1.0),
+    # Some replies miss the window and some make it.
+    "coordinated-short-window": dict(
+        architecture="coordinated", query_range_m=2000.0, aggregation_timeout_ms=285.0),
+    "coordinated-migrating": dict(architecture="coordinated", t_upper_ms=1.0),
+    # Replies still queued at the horizon.
+    "traditional-overload": dict(
+        architecture="traditional", request_rate=64.0, query_range_m=2000.0,
+        sim_duration_ms=20_000.0),
+}
+
+GOLDEN = {
+    "coordinated": "111eb77cd3f40f59f9ddbae9080ed6e3d2def9938d6345ddb5210881d550c000",
+    "traditional": "66b259043193c8ee4e60ae839f1a078eac437eff3fd6c18febc0a1bf824b5906",
+    "coordinated-instant-backhaul": "8ee10305a02410272efb3d69f6850fa29a3277216129f5eaf197470ac1e8c78c",
+    "coordinated-reply-at-deadline": "2b28ad5589321a9d7fb61d039d7b845b1fb914d6f2a882efa3e2d26c65bd8dc1",
+    "coordinated-1ms-window": "92d941a1e858199913bedbf18d8aad8db801efe521aa0d8eb894b6dc52a47139",
+    "traditional-1ms-window": "5b5deb7d09d8d21618abc364e84823487067b6045ffb6ac78f28adce02936cbc",
+    "coordinated-short-window": "e293c372120cf77b7502898c72d0e635a33cccc2a3ead9029219c2b066ae67f6",
+    "coordinated-migrating": "6ed107af31919aa0134ac37ab3db5cb01188d44f89609124003fe078c5be2498",
+    "traditional-overload": "f88131261367511cd3cd616c3a08f3f9b37de535b840d6e0e680f026efab6153",
+}
+
+
+def digest(name: str) -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        sim = Simulation(ScenarioConfig(seed=seed, **CONFIGS[name]), trace=[]).run()
+        for record in (*sim.outcomes, *sim.audits, *sim.trace, sim.summary_row()):
+            h.update(repr(record).encode())
+            h.update(b"\n")
+        h.update(f"events_left={sim.events_left}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_output_matches_the_recorded_digest(name):
+    assert digest(name) == GOLDEN[name]

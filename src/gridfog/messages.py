@@ -39,13 +39,11 @@ class JobDispatch:
 
 @dataclass(frozen=True)
 class JobResult:
+    """One pile's score for one request; ``evaluate_charging_request`` makes it."""
+
     request_id: str
     responder: NodeId
     score: float
-
-    def __post_init__(self):
-        if not (self.score >= 0 and self.score == self.score and self.score != float("inf")):
-            raise ValueError("score must be finite and >= 0")
 
 
 @dataclass(frozen=True)

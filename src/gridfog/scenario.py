@@ -225,6 +225,8 @@ class _ReplyWindow:
     """
 
     request: ServiceRequest
+    decider: NodeId
+    deadline: SimTime
     expected: int = 0
     results: list[JobResult] = field(default_factory=list)
     last_arrival: SimTime | None = None
@@ -338,6 +340,7 @@ class Simulation:
                 term.flow_id = flow_id
 
         self._routes = self._ROUTES[config.architecture]
+        self._at_send = self._AT_SEND[config.architecture]
         self._service_ms = {
             payload: getattr(config, name)
             for payload, name in self._SERVICE_MS[config.architecture].items()
@@ -430,10 +433,15 @@ class Simulation:
         """Hand ``payload`` to ``dst`` once its receiver's service time has passed.
 
         A payload whose handling only waits a fixed time after it arrives
-        fires that much later; the trace still records the true arrival.
+        fires that much later; one whose fate is fixed at send is settled
+        now.  The trace records the true arrival either way.
         """
         kind = type(payload)
-        self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
+        settle = self._at_send.get(kind)
+        if settle is None:
+            self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
+        else:
+            settle(self, payload, arrival)
         self._count_msg(request_id)
         if self._traced:
             distance = self.positions[src].distance_to(self.positions[dst])
@@ -515,12 +523,11 @@ class Simulation:
         if cfg.architecture == "coordinated":
             self.send_wireless(node, self._fnc_of(request), request, request.request_id)
         else:
-            self._windows[request.request_id] = _ReplyWindow(request)
+            window = _ReplyWindow(request, node, self.queue.clock + cfg.aggregation_timeout_ms)
+            self._windows[request.request_id] = window
             for _, pile in self.pile_index.within(request.origin, cfg.query_range_m):
                 self.send_wireless(node, pile, request, request.request_id)
-            self.queue.schedule_in(
-                cfg.aggregation_timeout_ms, node, _Deadline(request.request_id)
-            )
+            self.queue.schedule(window.deadline, node, _Deadline(request.request_id))
 
     # ------------------------------------------------------- coordinated
     def _fnc_of(self, request: ServiceRequest) -> NodeId:
@@ -537,12 +544,14 @@ class Simulation:
                 request.request_id,
             )
             return
-        self._windows[request.request_id] = _ReplyWindow(request, len(candidates))
+        window = _ReplyWindow(
+            request, fnc_node, self.queue.clock + self.config.aggregation_timeout_ms,
+            len(candidates),
+        )
+        self._windows[request.request_id] = window
         for job in dispatch(request, candidates, self.queue.clock):
             self.send_wired(fnc_node, job.assignee, job, request.request_id)
-        self.queue.schedule_in(
-            self.config.aggregation_timeout_ms, fnc_node, _Deadline(request.request_id)
-        )
+        self.queue.schedule(window.deadline, fnc_node, _Deadline(request.request_id))
 
     def _evaluate(self, pile_node: NodeId, request: ServiceRequest) -> JobResult:
         host = self.piles[pile_node]
@@ -550,22 +559,36 @@ class Simulation:
 
     def _reply_to_fnc(self, pile_node: NodeId, job: JobDispatch):
         request = job.request
+        window = self._windows.get(request.request_id)
+        # A reply to a window that has closed still travels to its FNC.
+        fnc_node = self._fnc_of(request) if window is None else window.decider
         result = self._evaluate(pile_node, request)
-        self.send_wired(pile_node, self._fnc_of(request), result, request.request_id)
+        self.send_wired(pile_node, fnc_node, result, request.request_id)
 
-    def _result_at_fnc(self, fnc_node: NodeId, result: JobResult):
+    def _result_into_window(self, result: JobResult, arrival: SimTime):
+        """File ``result`` with its FNC's window the moment the pile sends it.
+
+        An FNC has no receiver load, so a reply's arrival is fixed at send.
+        One due at or after the deadline misses the window, as the deadline
+        event, queued before any reply was sent, fires first on a tie.  Once
+        every dispatched job has replied in time, the window is decided at
+        the latest arrival, where the last reply would have been handled.
+        """
         window = self._windows.get(result.request_id)
-        if window is None:
-            return  # arrived after the aggregation window closed
+        if window is None or arrival >= window.deadline:
+            return
         window.results.append(result)
-        if len(window.results) >= window.expected:
-            self._decide(fnc_node, self._windows.pop(result.request_id))
+        if window.last_arrival is None or arrival > window.last_arrival:
+            window.last_arrival = arrival
+        if len(window.results) == window.expected:
+            self.queue.schedule(window.last_arrival, window.decider,
+                                _Deadline(result.request_id))
 
     def _agg_timeout(self, fnc_node: NodeId, deadline: _Deadline):
         request_id = deadline.request_id
         window = self._windows.pop(request_id, None)
         if window is None:
-            return  # decided when its last reply came in
+            return  # decided at its last reply's arrival
         if window.results:
             self._decide(fnc_node, window)
         else:
@@ -765,7 +788,6 @@ class Simulation:
             _DrainTick: _drain_piles,
             ServiceRequest: _fnc_process,
             JobDispatch: _reply_to_fnc,
-            JobResult: _result_at_fnc,
             _Deadline: _agg_timeout,
             Decision: _decision_at_terminal,
             FailureNotice: _failure_at_terminal,
@@ -784,6 +806,14 @@ class Simulation:
     _SERVICE_MS = {
         "traditional": {},
         "coordinated": {ServiceRequest: "fnc_service_ms", JobDispatch: "compute_ms"},
+    }
+
+    # Per architecture, the payloads whose fate is settled when they are
+    # sent, each with the function that settles it given its arrival time.
+    # They are sent, counted and traced like any other, but never queued.
+    _AT_SEND = {
+        "traditional": {},
+        "coordinated": {JobResult: _result_into_window},
     }
 
     # ------------------------------------------------------------ results

@@ -10,6 +10,7 @@ no message reaches.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,11 +106,14 @@ class Registry:
     """Latest status per node, as one coordinator sees it.
 
     Entries are replaced only by strictly newer reports; an identical
-    re-report is a no-op and an older one raises StaleReport.
+    re-report is a no-op and an older one raises StaleReport.  Range
+    queries read a spatial index of the reported locations, built on the
+    first query after a node joins or moves.
     """
 
     def __init__(self):
         self._entries: dict[NodeId, NodeStatus] = {}
+        self._index: PileIndex | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -135,6 +139,8 @@ def report_status(registry: Registry, status: NodeStatus) -> Registry:
             )
         if status.reported_at == existing.reported_at:
             return registry
+    if existing is None or existing.location != status.location:
+        registry._index = None
     registry._entries[status.node] = status
     return registry
 
@@ -148,36 +154,35 @@ def nodes_within(
     """
     if range_m < 0:
         raise ValueError("range_m must be >= 0")
-    hits = [
-        (d, status.node)
-        for status in registry._entries.values()
-        if status.node.layer == layer
-        and (d := status.location.distance_to(center)) <= range_m
-    ]
-    hits.sort()
-    return [node for _, node in hits]
+    if registry._index is None:
+        registry._index = PileIndex(registry._entries.values())
+    return [node for _, node in registry._index.within(center, range_m)
+            if node.layer == layer]
 
 
 class PileIndex:
-    """Static pile positions, indexed once for range and nearest-pile queries.
+    """Static node positions, indexed once for range and nearest-node queries.
 
-    numpy only narrows each query down to the piles worth an exact test.
-    Its distances may differ from ``Point2D.distance_to`` in the last bit,
-    so they are compared with a relative slack far above that, plus an
-    absolute one for distances in the subnormal range, where a relative
-    slack adds nothing.  ``Point2D.distance_to`` and a ``(distance, node)``
-    sort or min on the survivors then decide, so the answers equal those
-    of a scan over every pile.
+    Built from anything with a ``node`` and a ``location``, such as the
+    simulator's pile records or a registry's statuses; it keeps only those
+    two.  numpy only narrows each query down to the nodes worth an exact
+    test.  Its distances may differ from ``Point2D.distance_to`` in the
+    last bit, so they are compared with a relative slack far above that,
+    plus an absolute one for distances in the subnormal range, where a
+    relative slack adds nothing.  ``Point2D.distance_to`` and a
+    ``(distance, node)`` sort or min on the survivors then decide, so the
+    answers equal those of a scan over every node.
     """
 
     _REL_SLACK = 1e-9
     _ABS_SLACK = 1e-300  # m
 
-    def __init__(self, piles: list[NodeRecord]):
-        self._piles = list(piles)
+    def __init__(self, piles: Iterable[NodeRecord | NodeStatus]):
+        piles = list(piles)
+        self._nodes = [r.node for r in piles]
+        self._locations = [r.location for r in piles]
         # x + iy: one subtraction and one abs give every distance.
-        self._xy = np.array([complex(r.location.x, r.location.y) for r in self._piles],
-                            dtype=complex)
+        self._xy = np.array([complex(p.x, p.y) for p in self._locations], dtype=complex)
 
     def _distances(self, point: Point2D) -> np.ndarray:
         return np.abs(self._xy - complex(point.x, point.y))
@@ -186,8 +191,7 @@ class PileIndex:
         """``(distance, pile)`` for the piles whose ``d`` is not clearly above ``bound``."""
         keep = d <= bound * (1.0 + self._REL_SLACK) + self._ABS_SLACK
         for i in keep.nonzero()[0].tolist():
-            pile = self._piles[i]
-            yield pile.location.distance_to(point), pile.node
+            yield self._locations[i].distance_to(point), self._nodes[i]
 
     def within(self, center: Point2D, range_m: float) -> list[tuple[float, NodeId]]:
         """``(distance, pile)`` for every pile within ``range_m`` of ``center``, sorted."""
@@ -196,7 +200,7 @@ class PileIndex:
 
     def nearest(self, point: Point2D) -> NodeId | None:
         """The pile closest to ``point``, ties broken by NodeId; None without piles."""
-        if not self._piles:
+        if not self._nodes:
             return None
         d = self._distances(point)
         return min(self._exact(point, d, float(d[d.argmin()])))[1]

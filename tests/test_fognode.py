@@ -57,6 +57,19 @@ def test_zero_weights_rejected():
         evaluate_charging_request(request_at(0, 0), pile_at(0, 1, 1), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("pile, weights", [
+    # 1e308 m times 250 m overflows to inf.
+    (PileState(fog_id(0), Point2D(250.0, 0.0)), (1e308, 0.0)),
+    # An infinite wait times a zero weight is nan.
+    (PileState(fog_id(0), Point2D(250.0, 0.0), queue_len=1, service_rate=1e-320),
+     (1.0, 0.0)),
+])
+def test_non_finite_score_rejected(pile, weights):
+    # JobResult itself checks nothing: this is the one guard on its score.
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_charging_request(request_at(0.0, 0.0), pile, weights)
+
+
 def host(ordinal=0, queue_len=0, capacity=8):
     return FogNode(pile_at(ordinal, 0.0, 0.0, queue_len=queue_len), capacity=capacity)
 

@@ -452,21 +452,75 @@ def test_run_leaves_no_reply_window_open(architecture):
     assert not sim._windows
 
 
+def trace_by_request(sim):
+    """``{request_id: {kind: [SendTrace, ...]}}`` in send order."""
+    rows = {}
+    for t in sim.trace:
+        rows.setdefault(t.request_id, {}).setdefault(t.kind, []).append(t)
+    return rows
+
+
 def test_fnc_decides_when_the_last_dispatched_job_replies():
     # A deadline this long never closes a window that every job answers,
     # so each decision leaves the FNC on its last reply's arrival.
     sim = Simulation(small_config(architecture="coordinated",
                                   aggregation_timeout_ms=60_000.0), trace=[]).run()
-    rows = {}
-    for t in sim.trace:
-        rows.setdefault(t.request_id, {}).setdefault(t.kind, []).append(t)
-    decided = {rid: kinds for rid, kinds in rows.items() if "Decision" in kinds}
+    decided = {rid: kinds for rid, kinds in trace_by_request(sim).items()
+               if "Decision" in kinds}
     assert decided
     for kinds in decided.values():
         results = kinds["JobResult"]
         assert len(results) == len(kinds["JobDispatch"])
         [decision] = kinds["Decision"]
         assert decision.sent_at == max(r.arrives_at for r in results)
+
+
+def test_fnc_decides_at_the_latest_arrival_not_the_last_send():
+    # A loaded pile gets its job late and replies last, but if it is close
+    # to the FNC its reply can still overtake a farther pile's.
+    sim = Simulation(small_config(architecture="coordinated", query_range_m=2000.0,
+                                  aggregation_timeout_ms=60_000.0), trace=[])
+    for host in sim.piles.values():
+        host.pile.queue_len = host.node.ordinal % 4
+    sim.run()
+    overtaken = 0
+    for kinds in trace_by_request(sim).values():
+        if "Decision" not in kinds:
+            continue
+        results = kinds["JobResult"]
+        latest = max(r.arrives_at for r in results)
+        overtaken += results[-1].arrives_at < latest
+        [decision] = kinds["Decision"]
+        assert decision.sent_at == latest
+    assert overtaken
+
+
+def test_fnc_decides_at_the_deadline_among_replies_that_beat_it():
+    # With distance alone deciding, the chosen pile is the nearest of those
+    # whose reply arrived strictly before the deadline.
+    sim, origins = run_noting_origins(
+        small_config(architecture="coordinated", query_range_m=2000.0,
+                     aggregation_timeout_ms=285.0, w_wait=0.0), trace=[])
+    partial = late_best = 0
+    for rid, kinds in trace_by_request(sim).items():
+        if "JobDispatch" not in kinds:
+            continue
+        deadline = kinds["JobDispatch"][0].sent_at + sim.config.aggregation_timeout_ms
+        results = kinds["JobResult"]
+        in_time = [r for r in results if r.arrives_at < deadline]
+        if not in_time or len(in_time) == len(results):
+            continue
+        partial += 1
+        [decision] = kinds["Decision"]
+        assert decision.sent_at == deadline
+
+        def nearest(replies):
+            return min((sim.positions[r.src].distance_to(origins[rid]), r.src)
+                       for r in replies)[1]
+
+        assert sim._outcome_by_id[rid].chosen == nearest(in_time)
+        late_best += nearest(results) != nearest(in_time)
+    assert partial and late_best
 
 
 class _Stray:

@@ -192,6 +192,19 @@ def test_nodes_within_monotone_in_range():
         assert inner <= outer
 
 
+def test_nodes_within_sees_nodes_that_join_or_move_after_a_query():
+    reg = Registry()
+    report_status(reg, status(fog_id(0), 10.0, 0.0, 0.0))
+    center = Point2D(0.0, 0.0)
+    assert nodes_within(reg, center, 50.0, Layer.FOG) == [fog_id(0)]
+    report_status(reg, status(fog_id(1), 5.0, 0.0, 1.0))
+    assert nodes_within(reg, center, 50.0, Layer.FOG) == [fog_id(1), fog_id(0)]
+    report_status(reg, status(fog_id(0), 1.0, 0.0, 2.0))
+    assert nodes_within(reg, center, 50.0, Layer.FOG) == [fog_id(0), fog_id(1)]
+    report_status(reg, status(fog_id(1), 500.0, 0.0, 3.0))
+    assert nodes_within(reg, center, 50.0, Layer.FOG) == [fog_id(0)]
+
+
 # PileIndex against the all-pile scans it replaced in the simulator.
 
 def scan_within(locations, center, range_m):

@@ -1,4 +1,4 @@
-"""Pinned output of a small matrix of traced runs.
+"""Pinned output of a small matrix of traced runs and of the CLI's files.
 
 Each config's digest is a sha256 over, for each of its seeds in order,
 the repr of every ``RequestOutcome``, ``MigrationAudit`` and ``SendTrace``
@@ -8,13 +8,24 @@ change that is meant to alter output re-records them with
 ``python3 tests/record_golden.py`` and names each config whose digest
 moved.
 
+Each CLI case's digest covers the bytes of every file that ``gridfog``
+writes for it: the metrics CSV, ``_topology.csv`` and ``--trace`` JSONL of
+a run, or the sweep CSV and its ``plot-data`` CSV, both as written to
+``--out`` and as printed.  A config file that sets every key to its
+default must give the same bytes as no config file at all.
+
 The digests below were recorded with CPython 3.11.7 and numpy 2.4.6.
 """
 
+import contextlib
 import hashlib
+import io
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from gridfog.cli import main
 from gridfog.scenario import ScenarioConfig, Simulation
 
 SEEDS = (1, 2, 3)
@@ -76,3 +87,66 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", CONFIGS)
 def test_output_matches_the_recorded_digest(name):
     assert digest(name) == GOLDEN[name]
+
+
+# ------------------------------------------------------------ CLI output files
+
+CLI_CASES = {
+    "run-coordinated": ["run", "--seed", "3"],
+    "run-traditional": ["run", "--seed", "3", "--arch", "traditional"],
+    "sweep-fnc": ["sweep", "--sweep", "fnc", "--reps", "1"],
+}
+
+FILE_GOLDEN = {
+    "run-coordinated": "3c54d7e36939984e84acdcc27e2c96aa9dd4237ad3b49a543d1b35ac2c718a4a",
+    "run-traditional": "d0459e1d8ddbc083323584a718e58d77ceb97efa0ae0dd5775de3841761260d8",
+    "sweep-fnc": "4bca86b2200b0238f183b737f8d7ae9d4301f303b2799b5f2f0ad28032238d28",
+}
+
+
+def _gridfog(*args: str) -> bytes:
+    """Run the CLI in-process and return what it printed, as UTF-8."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(list(args)) == 0
+    return printed.getvalue().encode("utf-8")
+
+
+def cli_digest(name: str, workdir: Path, *extra: str) -> str:
+    """sha256 over every file the CLI writes for case ``name``, in order."""
+    args = [*CLI_CASES[name], *extra]
+    if args[0] == "run":
+        _gridfog(*args, "--out", str(workdir / "m.csv"),
+                 "--trace", str(workdir / "t.jsonl"))
+        files = {label: (workdir / label).read_bytes()
+                 for label in ("m.csv", "m_topology.csv", "t.jsonl")}
+    else:
+        sweep, plot = str(workdir / "s.csv"), str(workdir / "p.csv")
+        _gridfog(*args, "--out", sweep)
+        _gridfog("plot-data", sweep, "--out", plot)
+        files = {"s.csv": Path(sweep).read_bytes(), "p.csv": Path(plot).read_bytes(),
+                 "stdout": _gridfog("plot-data", sweep)}
+    h = hashlib.sha256()
+    for label, data in files.items():
+        h.update(f"{label} {len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def write_default_config(path: Path) -> None:
+    """A config file that names every ``ScenarioConfig`` key at its default."""
+    defaults = ScenarioConfig()
+    path.write_text("".join(f"{f.name} = {getattr(defaults, f.name)}\n"
+                            for f in fields(ScenarioConfig)), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_cli_files_match_the_recorded_digest(name, tmp_path):
+    assert cli_digest(name, tmp_path) == FILE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_a_config_of_every_default_writes_the_same_files(name, tmp_path):
+    config = tmp_path / "defaults.cfg"
+    write_default_config(config)
+    assert cli_digest(name, tmp_path, "--config", str(config)) == FILE_GOLDEN[name]

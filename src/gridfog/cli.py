@@ -3,43 +3,25 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from contextlib import nullcontext
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, MixedSweepVariables
 from .harness import (
     SWEEP_ALIASES,
+    JsonlTrace,
     default_sweep,
     emit_csv,
     emit_plot_data,
     load_config,
     parse_csv,
     run_sweep,
+    write_plot_csv,
     write_topology_csv,
 )
 from .metrics import MetricsTable
-from .scenario import ARCHITECTURES, ScenarioConfig, SendTrace, Simulation
-
-
-class JsonlTrace:
-    """Trace sink writing each :class:`SendTrace` as one JSON line.
-
-    Keys are the ``SendTrace`` field names; node ids are written as text.
-    """
-
-    _FIELDS = tuple(f.name for f in fields(SendTrace))
-
-    def __init__(self, handle):
-        self._handle = handle
-
-    def append(self, row: SendTrace) -> None:
-        record = {name: getattr(row, name) for name in self._FIELDS}
-        record["src"], record["dst"] = str(row.src), str(row.dst)
-        self._handle.write(json.dumps(record) + "\n")
+from .scenario import ARCHITECTURES, ScenarioConfig, Simulation
 
 
 def _base_config(args) -> ScenarioConfig:
@@ -58,14 +40,11 @@ def _cmd_run(args) -> int:
             sim = Simulation(cfg, trace=JsonlTrace(handle)).run()
     else:
         sim = Simulation(cfg).run()
-    table = MetricsTable()
-    table.append(sim.summary_row(
-        run_id=f"run-{cfg.seed}-{cfg.architecture}"))
+    row = sim.summary_row(run_id=f"run-{cfg.seed}-{cfg.architecture}")
     out = Path(args.out)
-    emit_csv(table, out)
+    emit_csv(MetricsTable([row]), out)
     topo = out.with_name(out.stem + "_topology.csv")
     write_topology_csv(sim.records, topo)
-    row = table.rows[0]
     mean = "n/a" if row.mean_latency_ms is None else f"{row.mean_latency_ms:.1f} ms"
     print(f"{row.completed} completed, {row.timed_out} unserved, "
           f"mean latency {mean}")
@@ -93,25 +72,12 @@ def _cmd_plot_data(args) -> int:
     except MixedSweepVariables as exc:
         print(f"input error: {args.input}: {exc}", file=sys.stderr)
         return 2
-    header = ["architecture", "swept_value", "mean_latency_ms",
-              "std_latency_ms", "repetitions"]
-    rows = []
-    for arch, points in series.items():
-        for p in points:
-            rows.append([
-                arch,
-                "" if p.swept_value is None else repr(p.swept_value),
-                "" if p.mean_latency_ms is None else repr(p.mean_latency_ms),
-                "" if p.std_latency_ms is None else repr(p.std_latency_ms),
-                str(p.repetitions),
-            ])
-    sink = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
-    with sink as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    if args.out:
-        print(f"wrote {len(rows)} points to {args.out}")
+    if not args.out:
+        write_plot_csv(series, sys.stdout)
+        return 0
+    with open(args.out, "w", newline="", encoding="utf-8") as handle:
+        count = write_plot_csv(series, handle)
+    print(f"wrote {count} points to {args.out}")
     return 0
 
 

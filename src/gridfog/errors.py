@@ -34,10 +34,10 @@ class ConfigError(GridFogError):
 
 
 class ParseError(ConfigError):
-    """A config line is not of the form ``key = value``."""
+    """A config line is not of the form ``key = value``, or not UTF-8."""
 
-    def __init__(self, line_no: int, line: str):
-        super().__init__(f"line {line_no}: cannot parse {line!r}")
+    def __init__(self, line_no: int, line: str | bytes, problem: str = "cannot parse"):
+        super().__init__(f"line {line_no}: {problem} {line!r}")
         self.line_no = line_no
 
 

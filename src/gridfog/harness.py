@@ -1,4 +1,4 @@
-"""Experiment harness: config files, parameter sweeps, CSV and plot data.
+"""Experiment harness: config files, parameter sweeps, CSV, traces and plot data.
 
 The harness turns a base :class:`~gridfog.scenario.ScenarioConfig` into the
 three standard sweeps (query range, request volume, coordinator count), runs
@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import json
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import InvalidValue, MixedSweepVariables, ParseError, UnknownKey
 from .metrics import COLUMNS, MetricsRow, MetricsTable
-from .scenario import ARCHITECTURES, ScenarioConfig, run_scenario
+from .scenario import ARCHITECTURES, ScenarioConfig, SendTrace, run_scenario
 from .topology import NodeRecord
 
 SWEEP_VARIABLES = ("query_range_m", "n_requests", "n_fnc")
@@ -102,35 +104,53 @@ def run_sweep(spec: SweepSpec) -> MetricsTable:
                                                  float(value)))
                 except Exception as exc:  # noqa: BLE001 - failed row, not abort
                     table.append(MetricsRow(
-                        run_id=run_id, architecture=arch,
-                        swept_variable=spec.variable, swept_value=float(value),
-                        seed=seed, mean_latency_ms=None, p95_latency_ms=None,
-                        completed=0, timed_out=0, messages_total=0,
-                        migrations=0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ))
+                        run_id=run_id, architecture=arch, swept_variable=spec.variable,
+                        swept_value=float(value), seed=seed,
+                        error=f"{type(exc).__name__}: {exc}"))
     return table
 
 
-# ------------------------------------------------------------- config files
+# ----------------------------------------------------------------- the codec
+# Every file is UTF-8. ``_cell_text`` writes a cell; text is read back by the
+# reader for the declared type of the dataclass field that it fills.
 
-_INT_KEYS = {f.name for f in fields(ScenarioConfig)
-             if isinstance(f.default, int)}
-_STR_KEYS = {f.name for f in fields(ScenarioConfig)
-             if isinstance(f.default, str)}
-_ALL_KEYS = {f.name for f in fields(ScenarioConfig)}
+_READERS = {"str": str, "int": int, "float": float,
+            "float | None": lambda text: float(text) if text else None}
+_CONFIG_READERS = {f.name: _READERS[f.type] for f in fields(ScenarioConfig)}
+_ROW_READERS = {f.name: _READERS[f.type] for f in fields(MetricsRow)}
 
 
-def _convert(line_no: int, key: str, raw: str):
+def _cell_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_rows(handle, header, rows) -> int:
+    """Write ``header`` and one CSV line per row of values; returns the row count."""
+    lines = [header, *([_cell_text(value) for value in row] for row in rows)]
+    # With "\n" line ends the csv module leaves a bare "\r" unquoted, and no
+    # reader could then tell it from a line end; such a line is fully quoted.
+    plain = csv.writer(handle, lineterminator="\n")
+    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for line in lines:
+        (quoted if any("\r" in cell for cell in line) else plain).writerow(line)
+    return len(lines) - 1
+
+
+def _read_utf8(path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises ParseError at its line."""
+    data = Path(path).read_bytes()
     try:
-        if key in _STR_KEYS:
-            return raw
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise InvalidValue(line_no, key, str(exc)) from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, data.split(b"\n")[line_no - 1], "not UTF-8:") from None
 
+
+# ------------------------------------------------------------- config files
 
 def load_config(path) -> ScenarioConfig:
     """Read a line-oriented ``key = value`` file into a scenario config.
@@ -138,7 +158,7 @@ def load_config(path) -> ScenarioConfig:
     Blank lines and ``#`` comments (whole-line or trailing) are ignored.
     Unspecified keys keep their defaults; unknown keys and bad values raise.
     """
-    text = Path(path).read_text()
+    text = _read_utf8(path)
     assigned: dict[str, object] = {}
     where: dict[str, int] = {}
     for line_no, rawline in enumerate(text.splitlines(), start=1):
@@ -151,9 +171,12 @@ def load_config(path) -> ScenarioConfig:
         key, raw = key.strip(), raw.strip()
         if not key or not raw:
             raise ParseError(line_no, rawline)
-        if key not in _ALL_KEYS:
+        if key not in _CONFIG_READERS:
             raise UnknownKey(line_no, key)
-        assigned[key] = _convert(line_no, key, raw)
+        try:
+            assigned[key] = _CONFIG_READERS[key](raw)
+        except ValueError as exc:
+            raise InvalidValue(line_no, key, str(exc)) from None
         where[key] = line_no
     try:
         return ScenarioConfig(**assigned)
@@ -170,76 +193,59 @@ def load_config(path) -> ScenarioConfig:
         raise InvalidValue(last, "config", str(exc)) from None
 
 
-# --------------------------------------------------------------------- CSV
-
-def _cell_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
+# ----------------------------------------- metrics, topology and trace files
 
 def emit_csv(table: MetricsTable, path) -> int:
     """Write header plus one line per row; returns the row count."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        count = 0
-        for row in table:
-            writer.writerow([_cell_text(getattr(row, col)) for col in COLUMNS])
-            count += 1
-    return count
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        return _write_rows(handle, COLUMNS, (astuple(row) for row in table))
 
 
 def parse_csv(path) -> MetricsTable:
     """Read a metrics CSV produced by :func:`emit_csv` back into a table."""
+    try:
+        text = _read_utf8(path)
+    except ParseError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a metrics CSV header")
+    if header != list(COLUMNS):
+        raise ValueError(f"{path}: unexpected CSV header {header!r}")
     table = MetricsTable()
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a metrics CSV header")
-        if header != list(COLUMNS):
-            raise ValueError(f"{path}: unexpected CSV header {header!r}")
-        for cells in reader:
-            if len(cells) != len(COLUMNS):
-                raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"{len(COLUMNS)} cells, got {len(cells)}")
-            named = dict(zip(COLUMNS, cells))
-            try:
-                row = MetricsRow(
-                    run_id=named["run_id"],
-                    architecture=named["architecture"],
-                    swept_variable=named["swept_variable"],
-                    swept_value=(float(named["swept_value"])
-                                 if named["swept_value"] else None),
-                    seed=int(named["seed"]),
-                    mean_latency_ms=(float(named["mean_latency_ms"])
-                                     if named["mean_latency_ms"] else None),
-                    p95_latency_ms=(float(named["p95_latency_ms"])
-                                    if named["p95_latency_ms"] else None),
-                    completed=int(named["completed"]),
-                    timed_out=int(named["timed_out"]),
-                    messages_total=int(named["messages_total"]),
-                    migrations=int(named["migrations"]),
-                    error=named["error"],
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            table.append(row)
+    for cells in reader:
+        if len(cells) != len(COLUMNS):
+            raise ValueError(f"{path}: line {reader.line_num}: expected "
+                             f"{len(COLUMNS)} cells, got {len(cells)}")
+        try:
+            table.append(MetricsRow(**{name: read(cell) for (name, read), cell
+                                       in zip(_ROW_READERS.items(), cells)}))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return table
 
 
 def write_topology_csv(records: list[NodeRecord], path) -> int:
     """Write node placements as ``node_id,layer,x,y``; returns row count."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["node_id", "layer", "x", "y"])
-        for rec in records:
-            writer.writerow([str(rec.node), rec.node.layer,
-                             repr(rec.location.x), repr(rec.location.y)])
-    return len(records)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        return _write_rows(handle, ("node_id", "layer", "x", "y"),
+                           ((rec.node, rec.node.layer, rec.location.x, rec.location.y)
+                            for rec in records))
+
+
+class JsonlTrace:
+    """Trace sink writing each ``SendTrace`` as one JSON line.
+
+    Keys are the ``SendTrace`` field names; node ids are written as text.
+    """
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def append(self, row: SendTrace) -> None:
+        record = {**vars(row), "src": str(row.src), "dst": str(row.dst)}
+        self._handle.write(json.dumps(record) + "\n")
 
 
 # --------------------------------------------------------------- plot data
@@ -280,3 +286,9 @@ def emit_plot_data(table: MetricsTable) -> dict[str, tuple[PlotPoint, ...]]:
             points.append(PlotPoint(value, mean, std, len(means)))
         out[arch] = tuple(points)
     return out
+
+
+def write_plot_csv(series: dict[str, tuple[PlotPoint, ...]], handle) -> int:
+    """Write :func:`emit_plot_data`'s series as CSV to ``handle``; returns the point count."""
+    return _write_rows(handle, ("architecture", *(f.name for f in fields(PlotPoint))),
+                       ((arch, *astuple(p)) for arch, points in series.items() for p in points))

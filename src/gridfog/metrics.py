@@ -8,19 +8,19 @@ from dataclasses import dataclass, field, fields
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One simulation run, reduced to its headline numbers."""
+    """One simulation run, reduced to its headline numbers (none if it failed)."""
 
     run_id: str
     architecture: str
     swept_variable: str
     swept_value: float | None
     seed: int
-    mean_latency_ms: float | None
-    p95_latency_ms: float | None
-    completed: int
-    timed_out: int
-    messages_total: int
-    migrations: int
+    mean_latency_ms: float | None = None
+    p95_latency_ms: float | None = None
+    completed: int = 0
+    timed_out: int = 0
+    messages_total: int = 0
+    migrations: int = 0
     error: str = ""
 
 

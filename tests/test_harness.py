@@ -2,9 +2,12 @@
 
 import json
 import statistics
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gridfog.cli import main
 from gridfog.errors import (
@@ -78,11 +81,13 @@ def test_negative_fog_count_is_invalid(tmp_path):
 
 
 def test_non_numeric_value_is_invalid(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("n_terminals = twenty\n")
-    with pytest.raises(InvalidValue) as err:
-        load_config(path)
-    assert err.value.line_no == 1
+    # An integer key takes an integer literal only.
+    for line in ("n_terminals = twenty", "n_fnc = 2.0"):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(InvalidValue) as err:
+            load_config(path)
+        assert err.value.line_no == 1
 
 
 @pytest.mark.parametrize("line", [
@@ -128,6 +133,18 @@ def test_unknown_key_is_rejected_with_line_number(tmp_path):
             load_config(path)
         assert err.value.line_no == 2
         assert err.value.key == key
+
+
+def test_non_utf8_config_is_a_parse_error_at_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"n_fnc = 2\n\xffseed = 3\n")
+    with pytest.raises(ParseError) as err:
+        load_config(path)
+    assert err.value.line_no == 2
+    assert main(["run", "--config", str(path)]) == 2
+    printed = capsys.readouterr().err.splitlines()
+    assert len(printed) == 1
+    assert printed[0].startswith("config error: line 2: not UTF-8")
 
 
 def test_line_without_equals_is_a_parse_error(tmp_path):
@@ -262,6 +279,26 @@ def test_csv_keeps_error_text_with_commas(tmp_path):
     emit_csv(table, path)
     back = parse_csv(path)
     assert back.rows == table.rows
+
+
+_text = st.text()
+_floats = st.floats(allow_nan=False)
+_optional = st.none() | _floats
+
+
+@given(st.builds(MetricsRow, _text, _text, _text, _optional, st.integers(),
+                 _optional, _optional, st.integers(), st.integers(), st.integers(),
+                 st.integers(), _text))
+@example(MetricsRow("r", "coordinated", "n_fnc", -0.0, 0, 5e-324, -1.7e308,
+                    error='ValueError: a, "b"\r\nc\rd\n\u00e9\u2028'))
+@example(MetricsRow(",", '"', "\n", None, -1, 1.7e308, None, error="\r"))
+def test_csv_round_trip_keeps_every_row(row):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "rows.csv"
+        emit_csv(MetricsTable([row, row]), path)
+        back = parse_csv(path).rows
+    assert back == [row, row]
+    assert repr(back[0]) == repr(row)  # tells -0.0 from 0.0
 
 
 def test_topology_csv_lists_every_node(tmp_path):
@@ -450,10 +487,14 @@ def test_cli_sweep_rejects_non_positive_reps(reps, capsys):
                  "rows mix sweep variables", id="mixed-variables"),
     pytest.param(",".join(COLUMNS) + "\nr1,traditional,n_fnc,abc,1,,,0,0,0,0,\n",
                  "line 2: could not convert string to float: 'abc'", id="bad-number"),
+    # The bad byte lies past the first chunk a text reader would decode.
+    pytest.param((",".join(COLUMNS) + "\n" + "r1,traditional,n_fnc,1.0,1,,,0,0,0,0,\n" * 400
+                  + "r2\xff\n").encode("latin-1"),
+                 "line 402: not UTF-8", id="not-utf8"),
 ])
 def test_cli_plot_data_reports_unreadable_input(tmp_path, capsys, content, message):
     path = tmp_path / "input.csv"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     code = main(["plot-data", str(path)])
     assert code == 2
     err = capsys.readouterr().err.splitlines()

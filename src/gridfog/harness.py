@@ -104,9 +104,11 @@ def run_sweep(spec: SweepSpec) -> MetricsTable:
                                                  float(value)))
                 except Exception as exc:  # noqa: BLE001 - failed row, not abort
                     table.append(MetricsRow(
-                        run_id=run_id, architecture=arch, swept_variable=spec.variable,
-                        swept_value=float(value), seed=seed,
-                        error=f"{type(exc).__name__}: {exc}"))
+                        run_id=run_id, architecture=arch,
+                        swept_variable=spec.variable, swept_value=float(value),
+                        seed=seed,
+                        error=f"{type(exc).__name__}: {exc}",
+                    ))
     return table
 
 
@@ -131,13 +133,21 @@ def _cell_text(value) -> str:
 def _write_rows(handle, header, rows) -> int:
     """Write ``header`` and one CSV line per row of values; returns the row count."""
     lines = [header, *([_cell_text(value) for value in row] for row in rows)]
-    # With "\n" line ends the csv module leaves a bare "\r" unquoted, and no
-    # reader could then tell it from a line end; such a line is fully quoted.
-    plain = csv.writer(handle, lineterminator="\n")
-    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer = csv.writer(handle, lineterminator="\n")
     for line in lines:
-        (quoted if any("\r" in cell for cell in line) else plain).writerow(line)
+        # With "\n" line ends csv leaves a bare "\r" unquoted, where no reader
+        # could tell it from a line end, and before CPython 3.11 it cannot
+        # write a NUL at all: such a line is quoted in full here.
+        if any("\r" in cell or "\0" in cell for cell in line):
+            handle.write(",".join('"' + cell.replace('"', '""') + '"' for cell in line) + "\n")
+        else:
+            writer.writerow(line)
     return len(lines) - 1
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` cut at each "\n", "\r\n" or "\r", the line ends that every reader counts."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _read_utf8(path) -> str:
@@ -146,8 +156,10 @@ def _read_utf8(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(line_no, data.split(b"\n")[line_no - 1], "not UTF-8:") from None
+        line_no = len(_lines(data[:exc.start].decode("utf-8")))
+        line = _lines(data.decode("utf-8", "surrogateescape"))[line_no - 1]
+        raise ParseError(line_no, line.encode("utf-8", "surrogateescape"),
+                         "not UTF-8:") from None
 
 
 # ------------------------------------------------------------- config files
@@ -161,15 +173,13 @@ def load_config(path) -> ScenarioConfig:
     text = _read_utf8(path)
     assigned: dict[str, object] = {}
     where: dict[str, int] = {}
-    for line_no, rawline in enumerate(text.splitlines(), start=1):
+    for line_no, rawline in enumerate(_lines(text), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(line_no, rawline)
-        key, _, raw = line.partition("=")
+        key, equals, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if not key or not raw:
+        if not (equals and key and raw):
             raise ParseError(line_no, rawline)
         if key not in _CONFIG_READERS:
             raise UnknownKey(line_no, key)
@@ -180,17 +190,16 @@ def load_config(path) -> ScenarioConfig:
         where[key] = line_no
     try:
         return ScenarioConfig(**assigned)
-    except ValueError as exc:
-        # Attribute the failure to the first line whose prefix already breaks.
+    except ValueError:
+        # Blame the first line whose prefix already breaks; the whole file is
+        # the last prefix tried, so one does.
         partial: dict[str, object] = {}
         for key in sorted(assigned, key=where.__getitem__):
             partial[key] = assigned[key]
             try:
                 ScenarioConfig(**partial)
-            except ValueError:
+            except ValueError as exc:
                 raise InvalidValue(where[key], key, str(exc)) from None
-        last = max(where.values(), default=0)
-        raise InvalidValue(last, "config", str(exc)) from None
 
 
 # ----------------------------------------- metrics, topology and trace files
@@ -207,22 +216,25 @@ def parse_csv(path) -> MetricsTable:
         text = _read_utf8(path)
     except ParseError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
+    if not text:
         raise ValueError(f"{path}: empty file, expected a metrics CSV header")
-    if header != list(COLUMNS):
-        raise ValueError(f"{path}: unexpected CSV header {header!r}")
+    # Before CPython 3.11 csv cannot read a NUL: a character absent from the
+    # text stands in for it.
+    nul = "\0" if "\0" not in text else next(
+        c for c in map(chr, range(0xE000, 0x110000)) if c not in text)
+    reader = csv.reader(io.StringIO(text.replace("\0", nul), newline=""))
     table = MetricsTable()
-    for cells in reader:
-        if len(cells) != len(COLUMNS):
-            raise ValueError(f"{path}: line {reader.line_num}: expected "
-                             f"{len(COLUMNS)} cells, got {len(cells)}")
-        try:
-            table.append(MetricsRow(**{name: read(cell) for (name, read), cell
-                                       in zip(_ROW_READERS.items(), cells)}))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    try:
+        header = next(reader)
+        if header != list(COLUMNS):
+            raise ValueError(f"unexpected CSV header {header!r}")
+        for cells in reader:
+            if len(cells) != len(COLUMNS):
+                raise ValueError(f"expected {len(COLUMNS)} cells, got {len(cells)}")
+            table.append(MetricsRow(**{name: read(cell.replace(nul, "\0")) for
+                                       (name, read), cell in zip(_ROW_READERS.items(), cells)}))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return table
 
 
@@ -240,11 +252,14 @@ class JsonlTrace:
     Keys are the ``SendTrace`` field names; node ids are written as text.
     """
 
+    _FIELDS = tuple(f.name for f in fields(SendTrace))
+
     def __init__(self, handle):
         self._handle = handle
 
     def append(self, row: SendTrace) -> None:
-        record = {**vars(row), "src": str(row.src), "dst": str(row.dst)}
+        record = {name: getattr(row, name) for name in self._FIELDS}
+        record["src"], record["dst"] = str(row.src), str(row.dst)
         self._handle.write(json.dumps(record) + "\n")
 
 

@@ -147,6 +147,22 @@ def test_non_utf8_config_is_a_parse_error_at_its_line(tmp_path, capsys):
     assert printed[0].startswith("config error: line 2: not UTF-8")
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_every_config_error_numbers_lines_alike(tmp_path, end):
+    # A form feed or a line separator inside a line does not end it.
+    head = f"n_fnc = 2 \x0c{end}# a\u2028b{end}"
+    path = tmp_path / "bad.cfg"
+    path.write_bytes((head + f"warp = 1{end}").encode())
+    with pytest.raises(UnknownKey) as err:
+        load_config(path)
+    assert err.value.line_no == 3
+    path.write_bytes(head.encode() + b"\xff = 1" + end.encode())
+    with pytest.raises(ParseError) as err:
+        load_config(path)
+    assert err.value.line_no == 3
+    assert str(err.value) == "line 3: not UTF-8: b'\\xff = 1'"
+
+
 def test_line_without_equals_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n_fnc: 2\n")
@@ -161,6 +177,12 @@ def test_cross_field_conflict_points_at_the_breaking_line(tmp_path):
     with pytest.raises(InvalidValue) as err:
         load_config(path)
     assert err.value.line_no == 2
+    # The reason given is that of the line blamed, not of a later one.
+    path.write_text("n_fnc = 0\nsim_duration_ms = -1\n")
+    with pytest.raises(InvalidValue) as err:
+        load_config(path)
+    assert (err.value.line_no, err.value.key) == (1, "n_fnc")
+    assert "sim_duration_ms" not in str(err.value)
 
 
 def test_conflicting_keys_are_fine_once_resolved(tmp_path):
@@ -292,6 +314,7 @@ _optional = st.none() | _floats
 @example(MetricsRow("r", "coordinated", "n_fnc", -0.0, 0, 5e-324, -1.7e308,
                     error='ValueError: a, "b"\r\nc\rd\n\u00e9\u2028'))
 @example(MetricsRow(",", '"', "\n", None, -1, 1.7e308, None, error="\r"))
+@example(MetricsRow("\0", "\ue000\0", "", 0.0, 0, error="NUL \0, \"\0\"\n"))
 def test_csv_round_trip_keeps_every_row(row):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "rows.csv"
@@ -299,6 +322,17 @@ def test_csv_round_trip_keeps_every_row(row):
         back = parse_csv(path).rows
     assert back == [row, row]
     assert repr(back[0]) == repr(row)  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("error", ["a\0b", "a\rb"])
+def test_a_nul_or_carriage_return_quotes_the_whole_line(tmp_path, error):
+    # csv before CPython 3.11 can neither write nor read a NUL, and no reader
+    # tells an unquoted "\r" from a line end.
+    path = tmp_path / "rows.csv"
+    emit_csv(MetricsTable([MetricsRow("r", "traditional", "n_fnc", 1.0, 3,
+                                      error=error)]), path)
+    assert path.read_bytes().decode().split("\n")[1] == (
+        '"r","traditional","n_fnc","1.0","3","","","0","0","0","0","' + error + '"')
 
 
 def test_topology_csv_lists_every_node(tmp_path):
@@ -491,6 +525,9 @@ def test_cli_sweep_rejects_non_positive_reps(reps, capsys):
     pytest.param((",".join(COLUMNS) + "\n" + "r1,traditional,n_fnc,1.0,1,,,0,0,0,0,\n" * 400
                   + "r2\xff\n").encode("latin-1"),
                  "line 402: not UTF-8", id="not-utf8"),
+    pytest.param(",".join(COLUMNS) + "\nr1,traditional,n_fnc,1.0,1,,,0,0,0,0,\n"
+                 + "x" * 200_000 + "\n", "line 3: field larger than field limit",
+                 id="huge-cell"),
 ])
 def test_cli_plot_data_reports_unreadable_input(tmp_path, capsys, content, message):
     path = tmp_path / "input.csv"

@@ -168,7 +168,8 @@ def load_config(path) -> ScenarioConfig:
     """Read a line-oriented ``key = value`` file into a scenario config.
 
     Blank lines and ``#`` comments (whole-line or trailing) are ignored.
-    Unspecified keys keep their defaults; unknown keys and bad values raise.
+    Unspecified keys keep their defaults; unknown keys, keys given twice and
+    bad values raise.
     """
     text = _read_utf8(path)
     assigned: dict[str, object] = {}
@@ -183,6 +184,8 @@ def load_config(path) -> ScenarioConfig:
             raise ParseError(line_no, rawline)
         if key not in _CONFIG_READERS:
             raise UnknownKey(line_no, key)
+        if key in where:
+            raise InvalidValue(line_no, key, f"already set on line {where[key]}")
         try:
             assigned[key] = _CONFIG_READERS[key](raw)
         except ValueError as exc:
@@ -224,6 +227,9 @@ def parse_csv(path) -> MetricsTable:
         c for c in map(chr, range(0xE000, 0x110000)) if c not in text)
     reader = csv.reader(io.StringIO(text.replace("\0", nul), newline=""))
     table = MetricsTable()
+    # No cell is longer than the text.  The limit is process-wide, so it is
+    # put back afterwards.
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
     try:
         header = next(reader)
         if header != list(COLUMNS):
@@ -235,6 +241,8 @@ def parse_csv(path) -> MetricsTable:
                                        (name, read), cell in zip(_ROW_READERS.items(), cells)}))
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
     return table
 
 

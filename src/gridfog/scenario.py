@@ -275,6 +275,8 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig, trace=None):
         self.config = config
+        # Events due after this instant are never handled.
+        self.horizon = config.sim_duration_ms + 2 * config.aggregation_timeout_ms + 10_000.0
         self.rng = RngStream(config.seed)
         self.queue = EventQueue()
         self.channel = _WirelessChannel(config.wireless_air_ms)
@@ -298,6 +300,7 @@ class Simulation:
         self.trace = () if trace is None else trace
         self._traced = trace is not None
         self.messages_total = 0
+        self._replies_past_horizon = 0
         self._outcome_by_id: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
         # One reply window per open request, whichever node decides it.
@@ -340,7 +343,6 @@ class Simulation:
                 term.flow_id = flow_id
 
         self._routes = self._ROUTES[config.architecture]
-        self._at_send = self._AT_SEND[config.architecture]
         self._service_ms = {
             payload: getattr(config, name)
             for payload, name in self._SERVICE_MS[config.architecture].items()
@@ -432,16 +434,15 @@ class Simulation:
     def _deliver(self, arrival, medium, src, dst, payload, request_id, load):
         """Hand ``payload`` to ``dst`` once its receiver's service time has passed.
 
-        A payload whose handling only waits a fixed time after it arrives
-        fires that much later; one whose fate is fixed at send is settled
-        now.  The trace records the true arrival either way.
+        A reply is filed with its request's window now, as its arrival is
+        fixed at send; any other payload is queued.  The trace records the
+        true arrival either way.
         """
         kind = type(payload)
-        settle = self._at_send.get(kind)
-        if settle is None:
-            self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
+        if kind is JobResult:
+            self._result_into_window(payload, arrival)
         else:
-            settle(self, payload, arrival)
+            self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
         self._count_msg(request_id)
         if self._traced:
             distance = self.positions[src].distance_to(self.positions[dst])
@@ -454,10 +455,9 @@ class Simulation:
     def run(self) -> "Simulation":
         if self._ran:
             return self
-        cfg = self.config
-        horizon = cfg.sim_duration_ms + 2 * cfg.aggregation_timeout_ms + 10_000.0
-        self.queue.run_until(horizon, self._handle)
-        self.events_left = len(self.queue)  # events still due past the horizon
+        self.queue.run_until(self.horizon, self._handle)
+        # Events still due past the horizon, queued or filed at send.
+        self.events_left = len(self.queue) + self._replies_past_horizon
         self._ran = True
         return self
 
@@ -566,14 +566,18 @@ class Simulation:
         self.send_wired(pile_node, fnc_node, result, request.request_id)
 
     def _result_into_window(self, result: JobResult, arrival: SimTime):
-        """File ``result`` with its FNC's window the moment the pile sends it.
+        """File ``result`` with its request's window the moment the pile sends it.
 
-        An FNC has no receiver load, so a reply's arrival is fixed at send.
-        One due at or after the deadline misses the window, as the deadline
-        event, queued before any reply was sent, fires first on a tie.  Once
-        every dispatched job has replied in time, the window is decided at
-        the latest arrival, where the last reply would have been handled.
+        Neither a terminal nor an FNC has receiver load, so a reply's arrival
+        is fixed at send.  One due at or after the deadline misses the window,
+        as the deadline event, queued before any reply was sent, fires first
+        on a tie.  Once every dispatched job has replied in time, an FNC's
+        window is decided at the latest arrival, where the last reply would
+        have been handled; a terminal's expects none and waits for its
+        deadline.  A reply due past the horizon counts in ``events_left``.
         """
+        if arrival > self.horizon:
+            self._replies_past_horizon += 1
         window = self._windows.get(result.request_id)
         if window is None or arrival >= window.deadline:
             return
@@ -623,13 +627,6 @@ class Simulation:
         request = done.request
         result = self._evaluate(pile_node, request)
         self.send_wireless(pile_node, request.requester, result, request.request_id)
-
-    def _reply_at_terminal(self, node: NodeId, result: JobResult):
-        window = self._windows.get(result.request_id)
-        if window is None:
-            return  # arrived after the reply window closed
-        window.results.append(result)
-        window.last_arrival = self.queue.clock
 
     def _window_close(self, node: NodeId, deadline: _Deadline):
         request_id = deadline.request_id
@@ -778,7 +775,6 @@ class Simulation:
             _DrainTick: _drain_piles,
             ServiceRequest: _broadcast_at_pile,
             _ComputeDone: _reply_to_terminal,
-            JobResult: _reply_at_terminal,
             _Deadline: _window_close,
         },
         "coordinated": {
@@ -806,14 +802,6 @@ class Simulation:
     _SERVICE_MS = {
         "traditional": {},
         "coordinated": {ServiceRequest: "fnc_service_ms", JobDispatch: "compute_ms"},
-    }
-
-    # Per architecture, the payloads whose fate is settled when they are
-    # sent, each with the function that settles it given its arrival time.
-    # They are sent, counted and traced like any other, but never queued.
-    _AT_SEND = {
-        "traditional": {},
-        "coordinated": {JobResult: _result_into_window},
     }
 
     # ------------------------------------------------------------ results

@@ -1,5 +1,6 @@
 """Config parsing, sweep execution, CSV emission, plot aggregation, CLI."""
 
+import csv
 import json
 import statistics
 import tempfile
@@ -163,6 +164,18 @@ def test_every_config_error_numbers_lines_alike(tmp_path, end):
     assert str(err.value) == "line 3: not UTF-8: b'\\xff = 1'"
 
 
+def test_key_given_twice_is_invalid_at_its_second_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("n_fnc = 2\nseed = 4\nn_fnc = 4\n")
+    with pytest.raises(InvalidValue) as err:
+        load_config(path)
+    assert (err.value.line_no, err.value.key) == (3, "n_fnc")
+    assert str(err.value).endswith("already set on line 1")
+    assert main(["run", "--config", str(path)]) == 2
+    printed = capsys.readouterr().err.splitlines()
+    assert printed == [f"config error: {err.value}"]
+
+
 def test_line_without_equals_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n_fnc: 2\n")
@@ -315,6 +328,7 @@ _optional = st.none() | _floats
                     error='ValueError: a, "b"\r\nc\rd\n\u00e9\u2028'))
 @example(MetricsRow(",", '"', "\n", None, -1, 1.7e308, None, error="\r"))
 @example(MetricsRow("\0", "\ue000\0", "", 0.0, 0, error="NUL \0, \"\0\"\n"))
+@example(MetricsRow("r", "traditional", "n_fnc", 1.0, 3, error="x" * 200_000))
 def test_csv_round_trip_keeps_every_row(row):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "rows.csv"
@@ -333,6 +347,18 @@ def test_a_nul_or_carriage_return_quotes_the_whole_line(tmp_path, error):
                                       error=error)]), path)
     assert path.read_bytes().decode().split("\n")[1] == (
         '"r","traditional","n_fnc","1.0","3","","","0","0","0","0","' + error + '"')
+
+
+def test_plot_data_reads_a_cell_past_the_csv_field_limit(tmp_path):
+    # csv's default limit is 131072 characters; it is raised for the read only.
+    row = MetricsRow("r", "traditional", "n_fnc", 1.0, 3, mean_latency_ms=5.0,
+                     error="x" * 200_000)
+    path = tmp_path / "rows.csv"
+    emit_csv(MetricsTable([row]), path)
+    limit = csv.field_size_limit()
+    assert main(["plot-data", str(path), "--out", str(tmp_path / "plot.csv")]) == 0
+    assert (tmp_path / "plot.csv").read_text().splitlines()[1] == "traditional,1.0,5.0,0.0,1"
+    assert csv.field_size_limit() == limit
 
 
 def test_topology_csv_lists_every_node(tmp_path):
@@ -526,7 +552,7 @@ def test_cli_sweep_rejects_non_positive_reps(reps, capsys):
                   + "r2\xff\n").encode("latin-1"),
                  "line 402: not UTF-8", id="not-utf8"),
     pytest.param(",".join(COLUMNS) + "\nr1,traditional,n_fnc,1.0,1,,,0,0,0,0,\n"
-                 + "x" * 200_000 + "\n", "line 3: field larger than field limit",
+                 + "x" * 200_000 + "\n", f"line 3: expected {len(COLUMNS)} cells, got 1",
                  id="huge-cell"),
 ])
 def test_cli_plot_data_reports_unreadable_input(tmp_path, capsys, content, message):

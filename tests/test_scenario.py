@@ -356,6 +356,20 @@ def test_reply_due_at_the_aggregation_deadline_misses_it():
         assert all(o.failure == "aggregation-timeout" for o in sim.outcomes)
 
 
+def test_broadcast_reply_due_at_the_terminal_deadline_misses_it():
+    # With a zero-latency, zero-airtime channel a pile's reply reaches the
+    # terminal exactly when its reply window closes; the window closes first.
+    for seed in range(1, 9):
+        sim = Simulation(small_config(
+            seed=seed, architecture="traditional", query_range_m=2800.0,
+            wireless_air_ms=0.0, wireless_base_ms=0.0, wireless_prop_ms_per_m=0.0,
+            proc_ms_per_unit=0.0, compute_ms=250.0, aggregation_timeout_ms=250.0),
+            trace=[]).run()
+        assert any(t.kind == "JobResult" for t in sim.trace)
+        assert sim.outcomes
+        assert all(o.failure == "request-timed-out" for o in sim.outcomes)
+
+
 def test_status_reports_flow_only_under_coordination():
     coord = Simulation(ScenarioConfig(seed=3), trace=[]).run()
     reports = [t for t in coord.trace if t.kind == "StatusReportMsg"]
@@ -402,11 +416,25 @@ def test_queue_grows_by_one_per_completed_request():
         assert total_queued == completed
 
 
+def replies_past_horizon(sim) -> int:
+    return sum(1 for t in sim.trace if t.kind == "JobResult" and t.arrives_at > sim.horizon)
+
+
 def test_events_left_counts_what_is_still_queued_at_the_horizon():
-    # Broadcasting over the whole arena at this rate leaves replies queued.
-    sim = run_scenario(ScenarioConfig(seed=1, architecture="traditional",
-                                      request_rate=64.0, query_range_m=2000.0))
-    assert sim.events_left == len(sim.queue) == 1994
+    # Broadcasting over the whole arena at this rate leaves replies due past
+    # the horizon; they are filed at send, not queued, but still count.
+    sim = Simulation(ScenarioConfig(seed=1, architecture="traditional",
+                                    request_rate=64.0, query_range_m=2000.0),
+                     trace=[]).run()
+    assert sim.events_left == len(sim.queue) + replies_past_horizon(sim) == 1994
+
+
+def test_events_left_counts_fnc_replies_due_past_the_horizon():
+    # A 30 s backhaul delays every reply to its FNC past the horizon.
+    sim = Simulation(ScenarioConfig(seed=1, architecture="coordinated",
+                                    backhaul_base_ms=30_000.0), trace=[]).run()
+    assert replies_past_horizon(sim) > 0
+    assert sim.events_left == len(sim.queue) + replies_past_horizon(sim) == 575
 
 
 def test_full_pile_ignores_broadcasts():

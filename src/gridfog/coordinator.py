@@ -17,11 +17,9 @@ from .topology import Layer, NodeId, Registry, nodes_within
 def filter_candidates(registry: Registry, request: ServiceRequest) -> list[NodeId]:
     """In-range piles with queue headroom, nearest first: the group V."""
     in_range = nodes_within(registry, request.origin, request.query_range_m, Layer.FOG)
-    eligible = [
-        node
-        for node in in_range
-        if (load := registry.get(node).resources).queue_len < load.capacity
-    ]
+    statuses = registry.statuses
+    eligible = [node for node in in_range
+                if (load := statuses[node].resources).queue_len < load.capacity]
     if not eligible:
         raise NoEligibleNodes(request.request_id)
     return eligible
@@ -33,10 +31,7 @@ def dispatch(
     """One JobDispatch per candidate, stamped with the dispatch time."""
     if not candidates:
         raise NoEligibleNodes(request.request_id)
-    return [
-        JobDispatch(request=request, assignee=node, dispatched_at=clock)
-        for node in candidates
-    ]
+    return [JobDispatch(request, node, clock) for node in candidates]
 
 
 def aggregate(request_id: str, results: list[JobResult], clock: SimTime) -> Decision:

@@ -37,17 +37,14 @@ class EventQueue:
     """Time-ordered event queue owning the virtual clock.
 
     Single-threaded by contract: one logical execution context owns the
-    queue.  Independent simulations each build their own queue.
+    queue.  Independent simulations each build their own queue.  ``clock``
+    is the virtual time now; only the queue moves it.
     """
 
     def __init__(self, start: SimTime = 0.0):
         self._heap: list[SimEvent] = []
-        self._clock: SimTime = start
+        self.clock: SimTime = start
         self._next_seq = 0
-
-    @property
-    def clock(self) -> SimTime:
-        return self._clock
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -57,9 +54,9 @@ class EventQueue:
 
         Raises SchedulingInPast if ``fire_at`` precedes the current clock.
         """
-        if fire_at < self._clock:
+        if fire_at < self.clock:
             raise SchedulingInPast(
-                f"fire_at={fire_at} is before clock={self._clock}"
+                f"fire_at={fire_at} is before clock={self.clock}"
             )
         event = SimEvent(fire_at, self._next_seq, target, payload)
         self._next_seq += 1
@@ -68,7 +65,7 @@ class EventQueue:
 
     def schedule_in(self, delay: SimTime, target: Any, payload: Any) -> SimEvent:
         """Schedule ``delay`` milliseconds after the current clock."""
-        return self.schedule(self._clock + delay, target, payload)
+        return self.schedule(self.clock + delay, target, payload)
 
     def run_until(self, deadline: SimTime, handler: Callable[[SimEvent], None]) -> int:
         """Process every event with ``fire_at <= deadline`` in order.
@@ -82,11 +79,11 @@ class EventQueue:
         processed = 0
         while self._heap and self._heap[0].fire_at <= deadline:
             event = heapq.heappop(self._heap)
-            self._clock = event.fire_at
+            self.clock = event.fire_at
             handler(event)
             processed += 1
-        if deadline > self._clock:
-            self._clock = deadline
+        if deadline > self.clock:
+            self.clock = deadline
         return processed
 
 

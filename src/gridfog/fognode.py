@@ -97,7 +97,7 @@ def evaluate_charging_request(
     score = w_dist * dist + w_wait * pile.expected_wait_hours
     if not math.isfinite(score):
         raise ValueError("score must be finite")
-    return JobResult(request_id=request.request_id, responder=pile.node, score=score)
+    return JobResult(request.request_id, pile.node, score)
 
 
 class FlowInstance:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import SimTime
 from .topology import NodeId, NodeStatus, Point2D
@@ -24,8 +25,7 @@ class ServiceRequest:
             raise ValueError("query_range_m must be > 0")
 
 
-@dataclass(frozen=True)
-class JobDispatch:
+class JobDispatch(NamedTuple):
     """One candidate's share of a request: the pile scores ``request`` itself."""
 
     request: ServiceRequest
@@ -37,8 +37,7 @@ class JobDispatch:
         return self.request.request_id
 
 
-@dataclass(frozen=True)
-class JobResult:
+class JobResult(NamedTuple):
     """One pile's score for one request; ``evaluate_charging_request`` makes it."""
 
     request_id: str

@@ -305,6 +305,10 @@ class Simulation:
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
         # One reply window per open request, whichever node decides it.
         self._windows: dict[str, _ReplyWindow] = {}
+        # Each backhaul pair's latency at no receiver load, either way round
+        # (``hypot`` is symmetric).  Wired links join only piles and FNCs,
+        # which never move, so it is computed once per run.
+        self._wired_ms: dict[tuple[NodeId, NodeId], float] = {}
 
         pile_records = [rec for rec in self.records if rec.node.layer == Layer.FOG]
         self.piles: dict[NodeId, FogNode] = {}
@@ -316,9 +320,8 @@ class Simulation:
             self.piles[rec.node] = FogNode(pile, capacity=config.capacity)
         self.pile_index = PileIndex(pile_records)
 
-        self.registries: dict[NodeId, Registry] = {
-            rec.node: Registry() for rec in self.records if rec.node.layer == Layer.FNC
-        }
+        # Every registry learns every pile, so all share the run's pile index.
+        self.registries = {fnc_id(k): Registry(self.pile_index) for k in range(config.n_fnc)}
 
         self.terminals: dict[NodeId, _Terminal] = {}
         for rec in self.records:
@@ -405,29 +408,26 @@ class Simulation:
             self.queue.schedule(nxt, None, tick)
 
     # ---------------------------------------------------------- plumbing
-    def _receiver_load(self, node: NodeId) -> float:
-        host = self.piles.get(node)
-        return 0.0 if host is None else float(host.pile.queue_len)
-
-    def _count_msg(self, request_id: str | None):
-        self.messages_total += 1
-        if request_id is not None:
-            self._outcome_by_id[request_id].messages_used += 1
-
     def send_wireless(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
         departure = self.channel.acquire(self.queue.clock)
-        src_p, dst_p = self.positions[src], self.positions[dst]
-        load = self._receiver_load(dst)
+        host = self.piles.get(dst)
+        load = 0.0 if host is None else float(host.pile.queue_len)
         arrival = departure + self.channel.air_ms + link_latency(
-            self.wireless, src_p, dst_p, load
+            self.wireless, self.positions[src], self.positions[dst], load
         )
         self._deliver(arrival, "wireless", src, dst, payload, request_id, load)
         return arrival
 
     def send_wired(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
-        src_p, dst_p = self.positions[src], self.positions[dst]
-        load = self._receiver_load(dst)
-        arrival = self.queue.clock + link_latency(self.backhaul, src_p, dst_p, load)
+        pair = (src, dst) if src < dst else (dst, src)
+        fixed = self._wired_ms.get(pair)
+        if fixed is None:
+            fixed = self._wired_ms[pair] = link_latency(
+                self.backhaul, self.positions[src], self.positions[dst], 0.0)
+        host = self.piles.get(dst)
+        load = 0.0 if host is None else float(host.pile.queue_len)
+        # ``link_latency`` adds the load term last too, so the bits agree.
+        arrival = self.queue.clock + (fixed + self.backhaul.proc_ms_per_unit * load)
         self._deliver(arrival, "backhaul", src, dst, payload, request_id, load)
         return arrival
 
@@ -443,7 +443,9 @@ class Simulation:
             self._result_into_window(payload, arrival)
         else:
             self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
-        self._count_msg(request_id)
+        self.messages_total += 1
+        if request_id is not None:
+            self._outcome_by_id[request_id].messages_used += 1
         if self._traced:
             distance = self.positions[src].distance_to(self.positions[dst])
             self.trace.append(
@@ -544,25 +546,21 @@ class Simulation:
                 request.request_id,
             )
             return
-        window = _ReplyWindow(
-            request, fnc_node, self.queue.clock + self.config.aggregation_timeout_ms,
-            len(candidates),
-        )
-        self._windows[request.request_id] = window
-        for job in dispatch(request, candidates, self.queue.clock):
-            self.send_wired(fnc_node, job.assignee, job, request.request_id)
-        self.queue.schedule(window.deadline, fnc_node, _Deadline(request.request_id))
-
-    def _evaluate(self, pile_node: NodeId, request: ServiceRequest) -> JobResult:
-        host = self.piles[pile_node]
-        return evaluate_charging_request(request, host.pile, self.config.weights)
+        clock, request_id = self.queue.clock, request.request_id
+        window = _ReplyWindow(request, fnc_node, clock + self.config.aggregation_timeout_ms,
+                              len(candidates))
+        self._windows[request_id] = window
+        for job in dispatch(request, candidates, clock):
+            self.send_wired(fnc_node, job.assignee, job, request_id)
+        self.queue.schedule(window.deadline, fnc_node, _Deadline(request_id))
 
     def _reply_to_fnc(self, pile_node: NodeId, job: JobDispatch):
         request = job.request
         window = self._windows.get(request.request_id)
         # A reply to a window that has closed still travels to its FNC.
         fnc_node = self._fnc_of(request) if window is None else window.decider
-        result = self._evaluate(pile_node, request)
+        pile = self.piles[pile_node].pile
+        result = evaluate_charging_request(request, pile, self.config.weights)
         self.send_wired(pile_node, fnc_node, result, request.request_id)
 
     def _result_into_window(self, result: JobResult, arrival: SimTime):
@@ -624,8 +622,8 @@ class Simulation:
         self.queue.schedule_in(self.config.compute_ms, pile_node, _ComputeDone(request))
 
     def _reply_to_terminal(self, pile_node: NodeId, done: _ComputeDone):
-        request = done.request
-        result = self._evaluate(pile_node, request)
+        request, pile = done.request, self.piles[pile_node].pile
+        result = evaluate_charging_request(request, pile, self.config.weights)
         self.send_wireless(pile_node, request.requester, result, request.request_id)
 
     def _window_close(self, node: NodeId, deadline: _Deadline):

@@ -10,8 +10,9 @@ no message reaches.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +59,7 @@ def cloud_id(ordinal: int = 0) -> NodeId:
     return NodeId(Layer.CLOUD, ordinal)
 
 
-@dataclass(frozen=True)
-class Point2D:
+class Point2D(NamedTuple):
     x: float
     y: float
 
@@ -106,13 +106,16 @@ class Registry:
     """Latest status per node, as one coordinator sees it.
 
     Entries are replaced only by strictly newer reports; an identical
-    re-report is a no-op and an older one raises StaleReport.  Range
-    queries read a spatial index of the reported locations, built on the
-    first query after a node joins or moves.
+    re-report is a no-op and an older one raises StaleReport.  ``statuses``
+    is a read-only live view of them.  Range queries read a spatial index,
+    set on the first query after a node joins or moves: ``shared`` if it
+    holds exactly the registered nodes at their locations, else a new one.
     """
 
-    def __init__(self):
+    def __init__(self, shared: PileIndex | None = None):
         self._entries: dict[NodeId, NodeStatus] = {}
+        self.statuses: Mapping[NodeId, NodeStatus] = MappingProxyType(self._entries)
+        self._shared = shared
         self._index: PileIndex | None = None
 
     def __len__(self) -> int:
@@ -155,7 +158,9 @@ def nodes_within(
     if range_m < 0:
         raise ValueError("range_m must be >= 0")
     if registry._index is None:
-        registry._index = PileIndex(registry._entries.values())
+        shared = registry._shared
+        registry._index = (shared if shared is not None and shared.holds(registry._entries)
+                           else PileIndex(registry._entries.values()))
     return [node for _, node in registry._index.within(center, range_m)
             if node.layer == layer]
 
@@ -183,6 +188,11 @@ class PileIndex:
         self._locations = [r.location for r in piles]
         # x + iy: one subtraction and one abs give every distance.
         self._xy = np.array([complex(p.x, p.y) for p in self._locations], dtype=complex)
+
+    def holds(self, statuses: Mapping[NodeId, NodeStatus]) -> bool:
+        """Whether this index is of exactly the nodes of ``statuses``, at their locations."""
+        return dict(zip(self._nodes, self._locations)) == {
+            node: status.location for node, status in statuses.items()}
 
     def _distances(self, point: Point2D) -> np.ndarray:
         return np.abs(self._xy - complex(point.x, point.y))

@@ -6,7 +6,7 @@ import pytest
 
 from gridfog.coordinator import aggregate, dispatch, filter_candidates
 from gridfog.errors import EmptyResultSet, NoEligibleNodes
-from gridfog.messages import JobResult, ServiceRequest
+from gridfog.messages import JobDispatch, JobResult, ServiceRequest
 from gridfog.topology import (
     NodeStatus,
     Point2D,
@@ -113,6 +113,26 @@ def test_dispatch_single_candidate():
 def test_dispatch_requires_candidates():
     with pytest.raises(NoEligibleNodes):
         dispatch(request_at(0, 0), [], clock=0.0)
+
+
+def test_job_messages_are_tuples_with_the_dataclass_face():
+    req = request_at(0.0, 0.0)
+    [job] = dispatch(req, [fog_id(3)], clock=12.0)
+    result = JobResult("r1", fog_id(2), 5.0)
+    assert repr(job) == (
+        "JobDispatch(request=ServiceRequest(request_id='r1', "
+        "requester=NodeId(layer='terminal', ordinal=0), origin=Point2D(x=0.0, y=0.0), "
+        "kind='charging-query', query_range_m=500.0, issued_at=0.0), "
+        "assignee=NodeId(layer='fog', ordinal=3), dispatched_at=12.0)"
+    )
+    assert repr(result) == (
+        "JobResult(request_id='r1', responder=NodeId(layer='fog', ordinal=2), score=5.0)"
+    )
+    assert JobDispatch._fields == ("request", "assignee", "dispatched_at")
+    assert JobResult._fields == ("request_id", "responder", "score")
+    assert hash(job) == hash((req, fog_id(3), 12.0))
+    assert hash(result) == hash(("r1", fog_id(2), 5.0))
+    assert job.request_id == "r1"
 
 
 def test_aggregate_single_result():

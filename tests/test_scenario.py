@@ -257,6 +257,25 @@ def test_wired_arrivals_match_the_link_model():
         assert t.arrives_at - t.sent_at == pytest.approx(expected, abs=1e-9)
 
 
+def test_wired_arrivals_are_exactly_the_link_model():
+    # A 1 ms latency target makes every served terminal complain, so piles
+    # also send each other migration messages over the backhaul.  A load
+    # cost of 0.7 ms per job makes a sum taken in another order round apart.
+    sim = Simulation(small_config(architecture="coordinated", t_upper_ms=1.0,
+                                  proc_ms_per_unit=0.7), trace=[]).run()
+    model = LatencyModel(sim.config.backhaul_base_ms,
+                         sim.config.backhaul_prop_ms_per_m,
+                         sim.config.proc_ms_per_unit)
+    wired = [t for t in sim.trace if t.medium == "backhaul"]
+    assert {"JobDispatch", "JobResult", "StatusReportMsg", "StartMigration",
+            "MigrationResponse", "ObjectStateMsg", "MigrationAck"} <= {t.kind for t in wired}
+    assert any(t.receiver_load > 0 for t in wired)
+    for t in wired:
+        expected = link_latency(model, sim.positions[t.src], sim.positions[t.dst],
+                                t.receiver_load)
+        assert t.arrives_at == t.sent_at + expected, t
+
+
 def test_wireless_transmissions_serialize_on_one_channel():
     sim = Simulation(small_config(architecture="traditional"), trace=[]).run()
     cfg = sim.config

@@ -58,6 +58,16 @@ CONFIGS = {
     "traditional-overload": dict(
         architecture="traditional", request_rate=64.0, query_range_m=2000.0,
         sim_duration_ms=20_000.0),
+    # A backhaul slower than the report period keeps several reports per
+    # pile in flight, and full piles drop out of the FNCs' candidates.
+    "coordinated-slow-backhaul": dict(
+        architecture="coordinated", backhaul_base_ms=1500.0, report_period_ms=1000.0,
+        aggregation_timeout_ms=4000.0, service_rate_per_hour=3600.0, request_rate=16.0,
+        capacity=2),
+    # Walkers land on and re-aim at many waypoints between two requests.
+    "traditional-fast-walkers": dict(
+        architecture="traditional", arena_diameter_m=300.0, query_range_m=150.0,
+        mobility_speed_mps=100.0, mobility_step_ms=100.0, request_rate=2.0),
 }
 
 GOLDEN = {
@@ -70,6 +80,8 @@ GOLDEN = {
     "coordinated-short-window": "e293c372120cf77b7502898c72d0e635a33cccc2a3ead9029219c2b066ae67f6",
     "coordinated-migrating": "6ed107af31919aa0134ac37ab3db5cb01188d44f89609124003fe078c5be2498",
     "traditional-overload": "f88131261367511cd3cd616c3a08f3f9b37de535b840d6e0e680f026efab6153",
+    "coordinated-slow-backhaul": "a32e43415c70bb3aa77890a714c61768dce2a3cfe6be7e8b682781e8b996ca88",
+    "traditional-fast-walkers": "cc1540c3c6261d18dc0059da8744c9f87d705596bef20e607f4c97b122e88c7f",
 }
 
 

@@ -203,10 +203,12 @@ class _WirelessChannel:
         return departure
 
 
-@dataclass
+@dataclass(slots=True)
 class _Terminal:
     node: NodeId
-    waypoints: RngStream
+    here: Point2D  # after ``steps`` mobility steps
+    steps: int = 0
+    waypoints: RngStream | None = None  # built with the first waypoint
     waypoint: Point2D | None = None
     step_m: float = 0.0  # metres walked per mobility step; 0 stops the walker
     requests_issued: int = 0
@@ -293,14 +295,16 @@ class Simulation:
             config.arena_diameter_m,
             self.rng,
         )
-        # Where every node is now; terminals move on each mobility step.
-        self.positions: dict[NodeId, Point2D] = {r.node: r.location for r in self.records}
+        # Where each node that never moves is; ``position`` reads every node.
+        self.positions: dict[NodeId, Point2D] = {
+            r.node: r.location for r in self.records if r.node.layer != Layer.TERMINAL}
+        self._steps = 0  # mobility steps taken so far
         self.outcomes: list[RequestOutcome] = []
         self.audits: list[MigrationAudit] = []
         self.trace = () if trace is None else trace
         self._traced = trace is not None
         self.messages_total = 0
-        self._replies_past_horizon = 0
+        self._filed_past_horizon = 0
         self._outcome_by_id: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
         # One reply window per open request, whichever node decides it.
@@ -323,21 +327,19 @@ class Simulation:
         # Every registry learns every pile, so all share the run's pile index.
         self.registries = {fnc_id(k): Registry(self.pile_index) for k in range(config.n_fnc)}
 
-        self.terminals: dict[NodeId, _Terminal] = {}
-        for rec in self.records:
-            if rec.node.layer == Layer.TERMINAL:
-                term = _Terminal(rec.node, self.rng.child(f"waypoint/{rec.node}"))
-                self._aim(term, rec.location)
-                self.terminals[rec.node] = term
+        self.terminals = {rec.node: _Terminal(rec.node, rec.location)
+                          for rec in self.records if rec.node.layer == Layer.TERMINAL}
 
+        self._last_report: dict[NodeId, StatusReportMsg] = {}  # per pile, sent or seeded
         if config.architecture == "coordinated":
             # Only coordination reads a registry; each starts knowing every pile.
             for host in self.piles.values():
                 status = self._status_of(host, 0.0)
                 for registry in self.registries.values():
                     report_status(registry, status)
+                self._last_report[host.node] = StatusReportMsg(status)
             for term in self.terminals.values():
-                nearest = self.pile_index.nearest(self.positions[term.node])
+                nearest = self.pile_index.nearest(self.position(term.node))
                 if nearest is None:
                     continue
                 flow_id = f"flow-{term.node}"
@@ -363,6 +365,8 @@ class Simulation:
         that bit.  A waypoint equal to ``start`` stops the walker for good.
         """
         cfg = self.config
+        if term.waypoints is None:
+            term.waypoints = self.rng.child(f"waypoint/{term.node}")
         x, y = term.waypoints.disk_point(0.0, 0.0, cfg.arena_diameter_m / 2.0)
         term.waypoint = target = Point2D(x, y)
         dist = start.distance_to(target)
@@ -408,12 +412,42 @@ class Simulation:
             self.queue.schedule(nxt, None, tick)
 
     # ---------------------------------------------------------- plumbing
+    def position(self, node: NodeId) -> Point2D:
+        """Where ``node`` is now; a terminal first walks the mobility steps it is behind.
+
+        A walker heads straight at its waypoint, and one that would reach or
+        pass it lands on it exactly and aims at a fresh one, by the float
+        operations of a step taken on its tick, in the same order.
+        """
+        fixed = self.positions.get(node)
+        if fixed is not None:
+            return fixed
+        term = self.terminals[node]
+        behind = self._steps - term.steps
+        if behind:
+            term.steps = self._steps
+            if term.waypoint is None:
+                self._aim(term, term.here)
+            (x, y), (tx, ty), step_m = term.here, term.waypoint, term.step_m
+            while behind and step_m != 0.0:
+                behind -= 1
+                remaining = math.hypot(x - tx, y - ty)
+                if step_m < remaining:
+                    frac = step_m / remaining
+                    x, y = x + (tx - x) * frac, y + (ty - y) * frac
+                else:
+                    x, y = tx, ty
+                    self._aim(term, term.waypoint)
+                    (tx, ty), step_m = term.waypoint, term.step_m
+            term.here = Point2D(x, y)
+        return term.here
+
     def send_wireless(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
         departure = self.channel.acquire(self.queue.clock)
         host = self.piles.get(dst)
         load = 0.0 if host is None else float(host.pile.queue_len)
         arrival = departure + self.channel.air_ms + link_latency(
-            self.wireless, self.positions[src], self.positions[dst], load
+            self.wireless, self.position(src), self.position(dst), load
         )
         self._deliver(arrival, "wireless", src, dst, payload, request_id, load)
         return arrival
@@ -423,7 +457,7 @@ class Simulation:
         fixed = self._wired_ms.get(pair)
         if fixed is None:
             fixed = self._wired_ms[pair] = link_latency(
-                self.backhaul, self.positions[src], self.positions[dst], 0.0)
+                self.backhaul, self.position(src), self.position(dst), 0.0)
         host = self.piles.get(dst)
         load = 0.0 if host is None else float(host.pile.queue_len)
         # ``link_latency`` adds the load term last too, so the bits agree.
@@ -435,19 +469,24 @@ class Simulation:
         """Hand ``payload`` to ``dst`` once its receiver's service time has passed.
 
         A reply is filed with its request's window now, as its arrival is
-        fixed at send; any other payload is queued.  The trace records the
-        true arrival either way.
+        fixed at send.  A status report stamped before now is a repeat that
+        its FNC holds, or will once an earlier copy arrives, so it changes
+        nothing and is only counted.  Any other payload is queued.  The
+        trace records the true arrival either way.
         """
         kind = type(payload)
         if kind is JobResult:
             self._result_into_window(payload, arrival)
+        elif kind is StatusReportMsg and payload.status.reported_at < self.queue.clock:
+            if arrival > self.horizon:
+                self._filed_past_horizon += 1
         else:
             self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
         self.messages_total += 1
         if request_id is not None:
             self._outcome_by_id[request_id].messages_used += 1
         if self._traced:
-            distance = self.positions[src].distance_to(self.positions[dst])
+            distance = self.position(src).distance_to(self.position(dst))
             self.trace.append(
                 SendTrace(self.queue.clock, arrival, medium, src, dst, distance, load,
                           kind.__name__, request_id)
@@ -459,7 +498,7 @@ class Simulation:
             return self
         self.queue.run_until(self.horizon, self._handle)
         # Events still due past the horizon, queued or filed at send.
-        self.events_left = len(self.queue) + self._replies_past_horizon
+        self.events_left = len(self.queue) + self._filed_past_horizon
         self._ran = True
         return self
 
@@ -471,32 +510,19 @@ class Simulation:
 
     # ------------------------------------------------------ periodic work
     def _step_terminals(self, _, tick: _MobilityTick):
-        """Walk every terminal one step straight at its waypoint.
-
-        A walker that would reach or pass its waypoint lands on it exactly
-        and aims at a fresh one.
-        """
-        positions = self.positions
-        for node, term in self.terminals.items():
-            step_m = term.step_m
-            if step_m == 0.0:
-                continue
-            here, there = positions[node], term.waypoint
-            remaining = here.distance_to(there)
-            if step_m < remaining:
-                frac = step_m / remaining
-                positions[node] = Point2D(here.x + (there.x - here.x) * frac,
-                                          here.y + (there.y - here.y) * frac)
-            else:
-                positions[node] = there
-                self._aim(term, there)
+        """Every terminal takes one step, walked when its position is next read."""
+        self._steps += 1
         self._repeat(tick)
 
     def _report_piles(self, _, tick: _ReportTick):
+        """Each pile reports to every FNC; an unchanged load re-sends its last report."""
+        last = self._last_report
         for node, host in self.piles.items():
-            status = self._status_of(host, self.queue.clock)
+            report = last[node]
+            if host.pile.queue_len != report.status.resources.queue_len:
+                report = last[node] = StatusReportMsg(self._status_of(host, self.queue.clock))
             for fnc_node in self.registries:
-                self.send_wired(node, fnc_node, StatusReportMsg(status))
+                self.send_wired(node, fnc_node, report)
         self._repeat(tick)
 
     def _drain_piles(self, _, tick: _DrainTick):
@@ -514,7 +540,7 @@ class Simulation:
         request = ServiceRequest(
             request_id=f"{node}/r{seq}",
             requester=node,
-            origin=self.positions[node],
+            origin=self.position(node),
             kind="charging-query",
             query_range_m=cfg.query_range_m,
             issued_at=self.queue.clock,
@@ -575,7 +601,7 @@ class Simulation:
         deadline.  A reply due past the horizon counts in ``events_left``.
         """
         if arrival > self.horizon:
-            self._replies_past_horizon += 1
+            self._filed_past_horizon += 1
         window = self._windows.get(result.request_id)
         if window is None or arrival >= window.deadline:
             return
@@ -663,12 +689,8 @@ class Simulation:
             and term.serving_pile is not None
         ):
             term.migration_active = True
-            self.send_wireless(
-                node, term.serving_pile,
-                LatencyComplaint(
-                    term.flow_id, node, self.positions[node], term.ewma_ms
-                ),
-            )
+            complaint = LatencyComplaint(term.flow_id, node, self.position(node), term.ewma_ms)
+            self.send_wireless(node, term.serving_pile, complaint)
 
     def _candidate_group(self, source: NodeId, origin: Point2D) -> tuple[NodeId, ...]:
         registry = self.registries[fnc_id(0)]

@@ -1,12 +1,13 @@
 """End-to-end behaviour of assembled scenario runs."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
 
 from gridfog.engine import LatencyModel, link_latency
-from gridfog.messages import ServiceRequest
+from gridfog.messages import ServiceRequest, StatusReportMsg
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
 from gridfog.topology import Point2D
 
@@ -65,12 +66,28 @@ def reference_walk(start, waypoints, speed, dt):
         yield position
 
 
-def positions_each_step(sim):
-    """Run ``sim`` one mobility step at a time; yield its positions after each."""
+def each_step(sim):
+    """Run ``sim`` one mobility step at a time; yield the step count after each."""
     step_ms = sim.config.mobility_step_ms
     for k in range(1, int(sim.config.sim_duration_ms // step_ms) + 1):
         sim.queue.run_until(k * step_ms, sim._handle)
-        yield sim.positions
+        yield k
+
+
+def positions_each_step(sim):
+    """Run ``sim`` one mobility step at a time; yield every terminal's position after each."""
+    for _ in each_step(sim):
+        yield {node: sim.position(node) for node in sim.terminals}
+
+
+def waypoint_draws(sim, node, draws):
+    """Draw ``node``'s waypoints as its own stream does, counting each in ``draws``."""
+    stream = sim.rng.child(f"waypoint/{node}")
+
+    def draw():
+        draws[node] += 1
+        return Point2D(*stream.disk_point(0.0, 0.0, sim.config.arena_diameter_m / 2.0))
+    return draw
 
 
 class FixedDraws:
@@ -91,7 +108,7 @@ def one_walker(start, *waypoints, speed=10.0):
         request_rate=0.0, mobility_speed_mps=speed, mobility_step_ms=1000.0,
         sim_duration_ms=5000.0))
     (node, term), = sim.terminals.items()
-    sim.positions[node] = start
+    term.here = start
     term.waypoints = FixedDraws(*waypoints)
     sim._aim(term, start)
     return sim, node, term
@@ -103,17 +120,8 @@ def test_positions_follow_the_reference_walk():
                                   sim_duration_ms=60_000.0))
     cfg = sim.config
     walks, draws = {}, Counter()
-
-    def drawer(node):
-        stream = sim.rng.child(f"waypoint/{node}")
-
-        def draw():
-            draws[node] += 1
-            return Point2D(*stream.disk_point(0.0, 0.0, cfg.arena_diameter_m / 2.0))
-        return draw
-
     for node in sim.terminals:
-        walks[node] = reference_walk(sim.positions[node], drawer(node),
+        walks[node] = reference_walk(sim.position(node), waypoint_draws(sim, node, draws),
                                      cfg.mobility_speed_mps, cfg.mobility_step_ms)
     for positions in positions_each_step(sim):
         for node, walk in walks.items():
@@ -121,12 +129,43 @@ def test_positions_follow_the_reference_walk():
     assert min(draws.values()) > 5  # every walker landed and re-aimed
 
 
+def test_a_terminal_walks_only_when_its_position_is_read():
+    # Eight terminals are read at a few random steps each, long walks apart;
+    # four are never read.  No position table holds a terminal.
+    sim = Simulation(small_config(arena_diameter_m=200.0, n_terminals=12, request_rate=0.0,
+                                  sim_duration_ms=60_000.0))
+    cfg = sim.config
+    nodes = list(sim.terminals)
+    read, unread = nodes[:8], nodes[8:]
+    steps = int(cfg.sim_duration_ms // cfg.mobility_step_ms)
+    pick = random.Random(5)
+    read_at = {node: set(pick.sample(range(1, steps + 1), 1 + i)) for i, node in enumerate(read)}
+    walks, draws = {}, Counter()
+    for node in read:
+        walks[node] = reference_walk(sim.position(node), waypoint_draws(sim, node, draws),
+                                     cfg.mobility_speed_mps, cfg.mobility_step_ms)
+    reads = 0
+    for k in each_step(sim):
+        for node, walk in walks.items():
+            expected = next(walk)
+            if k in read_at[node]:
+                assert sim.position(node) == expected
+                reads += 1
+    assert reads == sum(map(len, read_at.values()))
+    assert min(draws.values()) > 5  # every read walker landed and re-aimed
+    placed = {r.node: r.location for r in sim.records}
+    for node in unread:
+        term = sim.terminals[node]
+        assert (term.waypoints, term.waypoint, term.here) == (None, None, placed[node])
+    assert not set(nodes) & set(sim.positions)
+
+
 def test_mobility_zero_velocity_is_stationary():
     sim = Simulation(small_config(mobility_speed_mps=0.0))
-    start = dict(sim.positions)
+    start = {node: sim.position(node) for node in sim.terminals}
     sim.run()
     assert sim.outcomes
-    assert sim.positions == start
+    assert {node: sim.position(node) for node in sim.terminals} == start
 
 
 def test_mobility_aimed_at_its_own_position_never_moves_again():
@@ -439,6 +478,47 @@ def replies_past_horizon(sim) -> int:
     return sum(1 for t in sim.trace if t.kind == "JobResult" and t.arrives_at > sim.horizon)
 
 
+def run_noting_reports(config):
+    """Run ``config`` traced; also return the status reports sent and those queued.
+
+    A sent report is ``(fnc, arrives_at, status, changed)``: ``changed`` when
+    its pile's load differs from that of the report the pile sent that FNC
+    before, the registry's seed at load 0 counting as the first.  A queued
+    one is ``(fnc, fire_at, status)``.
+    """
+    sim = Simulation(config, trace=[])
+    sent, queued, last = [], [], {}
+    send, schedule = sim.send_wired, sim.queue.schedule
+
+    def send_spy(src, dst, payload, request_id=None):
+        arrival = send(src, dst, payload, request_id)
+        if isinstance(payload, StatusReportMsg):
+            load = payload.status.resources.queue_len
+            sent.append((dst, arrival, payload.status, load != last.get((src, dst), 0)))
+            last[src, dst] = load
+        return arrival
+
+    def schedule_spy(fire_at, target, payload):
+        if isinstance(payload, StatusReportMsg):
+            queued.append((target, fire_at, payload.status))
+        return schedule(fire_at, target, payload)
+
+    sim.send_wired, sim.queue.schedule = send_spy, schedule_spy
+    return sim.run(), sent, queued
+
+
+def test_only_a_changed_status_report_queues_an_arrival():
+    # A backhaul slower than the report period keeps several reports per
+    # pile in flight, so a registry's entry lags the pile's last report.
+    sim, sent, queued = run_noting_reports(small_config(
+        architecture="coordinated", backhaul_base_ms=1500.0, aggregation_timeout_ms=4000.0,
+        service_rate_per_hour=3600.0, request_rate=16.0, capacity=2))
+    changed = [(fnc, arrival, status) for fnc, arrival, status, new in sent if new]
+    assert 0 < len(changed) < len(sent)
+    assert queued == changed
+    assert sum(t.kind == "StatusReportMsg" for t in sim.trace) == len(sent)
+
+
 def test_events_left_counts_what_is_still_queued_at_the_horizon():
     # Broadcasting over the whole arena at this rate leaves replies due past
     # the horizon; they are filed at send, not queued, but still count.
@@ -449,11 +529,14 @@ def test_events_left_counts_what_is_still_queued_at_the_horizon():
 
 
 def test_events_left_counts_fnc_replies_due_past_the_horizon():
-    # A 30 s backhaul delays every reply to its FNC past the horizon.
-    sim = Simulation(ScenarioConfig(seed=1, architecture="coordinated",
-                                    backhaul_base_ms=30_000.0), trace=[]).run()
-    assert replies_past_horizon(sim) > 0
-    assert sim.events_left == len(sim.queue) + replies_past_horizon(sim) == 575
+    # A 30 s backhaul delays every reply to its FNC past the horizon, and
+    # the status reports of the run's last 20 s; the repeats among those
+    # are filed at send, not queued, but still count.
+    sim, sent, _ = run_noting_reports(ScenarioConfig(seed=1, architecture="coordinated",
+                                                     backhaul_base_ms=30_000.0))
+    repeats = sum(1 for _, arrival, _, new in sent if not new and arrival > sim.horizon)
+    assert replies_past_horizon(sim) > 0 and repeats > 0
+    assert sim.events_left == len(sim.queue) + replies_past_horizon(sim) + repeats == 575
 
 
 def test_full_pile_ignores_broadcasts():

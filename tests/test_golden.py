@@ -68,6 +68,11 @@ CONFIGS = {
     "traditional-fast-walkers": dict(
         architecture="traditional", arena_diameter_m=300.0, query_range_m=150.0,
         mobility_speed_mps=100.0, mobility_step_ms=100.0, request_rate=2.0),
+    # Requests so dense that a pile's queue often changes between a job's
+    # dispatch and its handling, which the job's score must see.
+    "coordinated-load-moves": dict(
+        architecture="coordinated", request_rate=2000.0, sim_duration_ms=6000.0, n_fog=2,
+        wireless_air_ms=8.0),
 }
 
 GOLDEN = {
@@ -82,6 +87,7 @@ GOLDEN = {
     "traditional-overload": "f88131261367511cd3cd616c3a08f3f9b37de535b840d6e0e680f026efab6153",
     "coordinated-slow-backhaul": "a32e43415c70bb3aa77890a714c61768dce2a3cfe6be7e8b682781e8b996ca88",
     "traditional-fast-walkers": "cc1540c3c6261d18dc0059da8744c9f87d705596bef20e607f4c97b122e88c7f",
+    "coordinated-load-moves": "6e2e93d0cbb41c2233709269245e4f0be9e8d33dcb1a7a0ec2bf60db0b3cf91e",
 }
 
 

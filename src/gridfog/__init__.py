@@ -8,6 +8,7 @@ from .errors import (
     FlowNotResident,
     GridFogError,
     InvalidValue,
+    InvariantViolation,
     MixedSweepVariables,
     NoEligibleNodes,
     ParseError,

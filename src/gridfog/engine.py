@@ -63,6 +63,34 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         return event
 
+    def reserve(self) -> int:
+        """Take the next sequence number without storing an event.
+
+        An event later stored at this number with :meth:`schedule_reserved`
+        sorts among same-instant events where one scheduled now would have.
+        """
+        seq = self._next_seq
+        self._next_seq += 1
+        return seq
+
+    def schedule_reserved(self, fire_at: SimTime, seq: int, target: Any,
+                          payload: Any) -> SimEvent:
+        """Store an event at a sequence number taken earlier by :meth:`reserve`.
+
+        Raises SchedulingInPast if ``fire_at`` precedes the current clock.
+        """
+        if fire_at < self.clock:
+            raise SchedulingInPast(
+                f"fire_at={fire_at} is before clock={self.clock}"
+            )
+        event = SimEvent(fire_at, seq, target, payload)
+        heapq.heappush(self._heap, event)
+        return event
+
+    def __iter__(self):
+        """The stored events, in no particular order."""
+        return iter(self._heap)
+
     def schedule_in(self, delay: SimTime, target: Any, payload: Any) -> SimEvent:
         """Schedule ``delay`` milliseconds after the current clock."""
         return self.schedule(self.clock + delay, target, payload)

@@ -9,6 +9,10 @@ class SchedulingInPast(GridFogError):
     """An event was scheduled before the current virtual clock."""
 
 
+class InvariantViolation(GridFogError):
+    """A finished run breaks a conservation law; the message names it and its numbers."""
+
+
 class StaleReport(GridFogError):
     """A status report is older than the one already registered."""
 

@@ -13,12 +13,13 @@ contend.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, fields
 
 from .coordinator import aggregate, dispatch, filter_candidates
 from .engine import EventQueue, LatencyModel, RngStream, SimTime, link_latency
-from .errors import CapacityExceeded, NoEligibleNodes
+from .errors import CapacityExceeded, InvariantViolation, NoEligibleNodes
 from .fognode import (
     FogNode,
     MigrationAck,
@@ -222,16 +223,29 @@ class _Terminal:
 class _ReplyWindow:
     """The replies one request's decider, a terminal or an FNC, gathers.
 
-    An FNC expects one reply per dispatched job and decides once they are
-    all in; a broadcasting terminal expects none and waits for the deadline.
+    A broadcasting terminal files each reply as its pile sends it and waits
+    for the deadline.
     """
 
     request: ServiceRequest
     decider: NodeId
     deadline: SimTime
-    expected: int = 0
     results: list[JobResult] = field(default_factory=list)
     last_arrival: SimTime | None = None
+
+
+@dataclass
+class _FanOutWindow(_ReplyWindow):
+    """An FNC's reply window, opened at ``opened_at`` with one job per candidate.
+
+    The FNC books at dispatch each job whose reply will beat the deadline,
+    as ``(handled_at, seq, pile)``: the instant and sequence number of the
+    event that handling it would have been.  It scores them all at once,
+    and decides once they are all in.
+    """
+
+    opened_at: SimTime = 0.0
+    jobs: list[tuple[SimTime, int, NodeId]] = field(default_factory=list)
 
 
 # Internal payloads.  A periodic tick has no target, acts on every node of
@@ -264,6 +278,40 @@ class _ComputeDone:
 
 @dataclass(frozen=True)
 class _Deadline:
+    request_id: str
+
+
+@dataclass(slots=True)
+class _Tally:
+    """Counts that only the end-of-run conservation check reads."""
+
+    unattributed: int = 0  # sends that carry no request id
+    replies: int = 0  # JobResult messages piles sent to FNCs
+    aggregated: int = 0  # replies read by FNC decisions
+    drained: int = 0  # charges the drains took off non-empty piles
+    base_load: int = 0  # charges the piles held before the run's first event
+
+
+@dataclass(slots=True)
+class _Booking:
+    """What a coordinated run needs to book each job's handling at dispatch.
+
+    A job is scored after the instant its pile handles it, against the load
+    its pile had then, so each pile logs its load before every change, keyed
+    by the ``(clock, seq)`` of the changing event.  Each job's reply is
+    traced where its handling would have put it, so its row is held in a
+    heap keyed ``(handled_at, seq)`` until the stream gets there.
+    """
+
+    seq: int = -1  # sequence number of the event being handled
+    loads: dict[NodeId, list[tuple[SimTime, int, int]]] = field(default_factory=dict)
+    held: list[tuple[SimTime, int, SendTrace]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _JobsHandled:
+    """Every job of a request is handled by now, and each reply beats its deadline."""
+
     request_id: str
 
 
@@ -304,7 +352,8 @@ class Simulation:
         self.trace = () if trace is None else trace
         self._traced = trace is not None
         self.messages_total = 0
-        self._filed_past_horizon = 0
+        self._past_horizon = 0  # messages and job handlings due past the horizon, not queued
+        self._tally = _Tally()
         self._outcome_by_id: dict[str, RequestOutcome] = {}
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
         # One reply window per open request, whichever node decides it.
@@ -348,12 +397,16 @@ class Simulation:
                 term.flow_id = flow_id
 
         self._routes = self._ROUTES[config.architecture]
+        # CPython keeps an instance's attributes in a dict shared with its
+        # class only up to 30 names; past that every ``self.x`` in the event
+        # loop slows, so new state joins an existing attribute's object.
+        self._booking = _Booking() if config.architecture == "coordinated" else None
         self._service_ms = {
             payload: getattr(config, name)
             for payload, name in self._SERVICE_MS[config.architecture].items()
         }
         self._schedule_initial_events()
-        self._ran = False
+        self.events_left: int | None = None  # set by ``run``
 
     # ------------------------------------------------------------- build
     def _aim(self, term: _Terminal, start: Point2D):
@@ -469,8 +522,9 @@ class Simulation:
         """Hand ``payload`` to ``dst`` once its receiver's service time has passed.
 
         A reply is filed with its request's window now, as its arrival is
-        fixed at send.  A status report stamped before now is a repeat that
-        its FNC holds, or will once an earlier copy arrives, so it changes
+        fixed at send.  A job's handling is booked by its FNC's window at
+        dispatch.  A status report stamped before now is a repeat that its
+        FNC holds, or will once an earlier copy arrives, so it changes
         nothing and is only counted.  Any other payload is queued.  The
         trace records the true arrival either way.
         """
@@ -479,34 +533,57 @@ class Simulation:
             self._result_into_window(payload, arrival)
         elif kind is StatusReportMsg and payload.status.reported_at < self.queue.clock:
             if arrival > self.horizon:
-                self._filed_past_horizon += 1
-        else:
+                self._past_horizon += 1
+        elif kind is not JobDispatch:
             self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
         self.messages_total += 1
-        if request_id is not None:
+        if request_id is None:
+            self._tally.unattributed += 1
+        else:
             self._outcome_by_id[request_id].messages_used += 1
         if self._traced:
+            if self._booking is not None:
+                self._flush_held(self.queue.clock, self._booking.seq)
             distance = self.position(src).distance_to(self.position(dst))
             self.trace.append(
                 SendTrace(self.queue.clock, arrival, medium, src, dst, distance, load,
                           kind.__name__, request_id)
             )
 
+    def _flush_held(self, clock: SimTime, seq: int):
+        """Trace the held reply rows of jobs handled before event ``(clock, seq)``."""
+        held, append = self._booking.held, self.trace.append
+        while held and (held[0][0] < clock or held[0][0] == clock and held[0][1] < seq):
+            append(heapq.heappop(held)[2])
+
     # ------------------------------------------------------------ events
     def run(self) -> "Simulation":
-        if self._ran:
+        if self.events_left is not None:
             return self
+        completed = sum(1 for o in self.outcomes if o.completed)
+        self._tally.base_load = self._total_load() - completed + self._tally.drained
         self.queue.run_until(self.horizon, self._handle)
-        # Events still due past the horizon, queued or filed at send.
-        self.events_left = len(self.queue) + self._filed_past_horizon
-        self._ran = True
+        if self._traced and self._booking is not None:
+            self._flush_held(math.inf, 0)
+        # Events still due past the horizon, queued or booked at send.
+        self.events_left = len(self.queue) + self._past_horizon
+        self._check_conservation()
         return self
 
-    def _handle(self, event):
+    @property
+    def _handle(self):
+        """The event handler; a coordinated run also notes each event's sequence number."""
+        return self._route if self._booking is None else self._route_keyed
+
+    def _route(self, event):
         route = self._routes.get(type(event.payload))
         if route is None:
             raise TypeError(f"unhandled payload {type(event.payload).__name__}")
         route(self, event.target, event.payload)
+
+    def _route_keyed(self, event):
+        self._booking.seq = event.seq
+        self._route(event)
 
     # ------------------------------------------------------ periodic work
     def _step_terminals(self, _, tick: _MobilityTick):
@@ -526,10 +603,29 @@ class Simulation:
         self._repeat(tick)
 
     def _drain_piles(self, _, tick: _DrainTick):
+        logged = self._booking is not None
         for host in self.piles.values():
             if host.pile.queue_len > 0:
+                if logged:
+                    self._log_load(host.pile)
                 host.pile.queue_len -= 1
+                self._tally.drained += 1
         self._repeat(tick)
+
+    def _log_load(self, pile: PileState):
+        """Log ``pile``'s load before the event being handled changes it.
+
+        Only the jobs of open windows read the log, none from before the
+        oldest one's dispatch, so older entries go.
+        """
+        booking, clock = self._booking, self.queue.clock
+        log = booking.loads.setdefault(pile.node, [])
+        oldest = next(iter(self._windows.values())).opened_at if self._windows else clock
+        stale = 0
+        while stale < len(log) and log[stale][0] < oldest:
+            stale += 1
+        del log[:stale]
+        log.append((clock, booking.seq, pile.queue_len))
 
     # --------------------------------------------------------- requesting
     def _issue_request(self, node: NodeId, tick: _RequestTick):
@@ -563,6 +659,21 @@ class Simulation:
         return fnc_id(sector_index(request.origin, self.config.n_fnc))
 
     def _fnc_process(self, fnc_node: NodeId, request: ServiceRequest):
+        """Dispatch one job per candidate and book when each is handled.
+
+        A pile handles its job ``compute_ms`` after the job arrives and
+        replies at once; the FNC has no receiver load, so the reply's
+        arrival is fixed at dispatch too.  Each job takes the sequence
+        number its handling event would have had, and no event: a reply is
+        counted and traced at dispatch, its row held until the stream
+        reaches its handling.  A reply due at or after the deadline misses
+        the window, as the deadline event, queued before any job was
+        handled, fires first on a tie.  When every reply is in time, one
+        event at the last job's handling scores them all; otherwise the
+        deadline scores those that beat it.  A job handled past the horizon
+        sends no reply, and it and a reply due past the horizon count in
+        ``events_left``.
+        """
         try:
             candidates = filter_candidates(self.registries[fnc_node], request)
         except NoEligibleNodes:
@@ -572,51 +683,98 @@ class Simulation:
                 request.request_id,
             )
             return
-        clock, request_id = self.queue.clock, request.request_id
-        window = _ReplyWindow(request, fnc_node, clock + self.config.aggregation_timeout_ms,
-                              len(candidates))
+        queue, horizon, compute_ms = self.queue, self.horizon, self.config.compute_ms
+        clock, request_id = queue.clock, request.request_id
+        window = _FanOutWindow(request, fnc_node, clock + self.config.aggregation_timeout_ms,
+                               opened_at=clock)
         self._windows[request_id] = window
+        deadline, booked, wired_ms = window.deadline, window.jobs, self._wired_ms
+        sent = past = 0
+        all_in_time, last_handled, last_seq = True, -math.inf, -1
         for job in dispatch(request, candidates, clock):
-            self.send_wired(fnc_node, job.assignee, job, request_id)
-        self.queue.schedule(window.deadline, fnc_node, _Deadline(request_id))
+            pile = job.assignee
+            handled_at = self.send_wired(fnc_node, pile, job, request_id) + compute_ms
+            seq = queue.reserve()
+            if handled_at > horizon:
+                past += 1
+                all_in_time = False
+                continue
+            # The dispatch cached the pair's load-free cost, which the reply pays.
+            arrival = handled_at + wired_ms[(fnc_node, pile) if fnc_node < pile
+                                            else (pile, fnc_node)]
+            sent += 1
+            past += arrival > horizon
+            if arrival < deadline:
+                booked.append((handled_at, seq, pile))
+                if window.last_arrival is None or arrival > window.last_arrival:
+                    window.last_arrival = arrival
+                if handled_at >= last_handled:
+                    last_handled, last_seq = handled_at, seq
+            else:
+                all_in_time = False
+            if self._traced:
+                distance = self.position(pile).distance_to(self.position(fnc_node))
+                heapq.heappush(self._booking.held, (handled_at, seq, SendTrace(
+                    handled_at, arrival, "backhaul", pile, fnc_node, distance, 0.0,
+                    "JobResult", request_id)))
+        self.messages_total += sent
+        self._outcome_by_id[request_id].messages_used += sent
+        self._tally.replies += sent
+        self._past_horizon += past
+        if all_in_time:
+            queue.schedule_reserved(last_handled, last_seq, fnc_node, _JobsHandled(request_id))
+        queue.schedule(deadline, fnc_node, _Deadline(request_id))
 
-    def _reply_to_fnc(self, pile_node: NodeId, job: JobDispatch):
-        request = job.request
-        window = self._windows.get(request.request_id)
-        # A reply to a window that has closed still travels to its FNC.
-        fnc_node = self._fnc_of(request) if window is None else window.decider
-        pile = self.piles[pile_node].pile
-        result = evaluate_charging_request(request, pile, self.config.weights)
-        self.send_wired(pile_node, fnc_node, result, request.request_id)
+    def _score(self, window: _FanOutWindow) -> list[JobResult]:
+        """Score each booked job against its pile's load when the pile handled it.
+
+        That load is the one logged before the pile's first change after the
+        job's ``(handled_at, seq)``, or its load now if none came since; a
+        job whose pile has moved on is scored on a copy at the old load.
+        """
+        request, weights = window.request, self.config.weights
+        piles, logs = self.piles, self._booking.loads
+        results = []
+        for handled_at, seq, node in window.jobs:
+            pile = piles[node].pile
+            for changed_at, changed_seq, before in logs.get(node, ()):
+                if changed_at > handled_at or changed_at == handled_at and changed_seq > seq:
+                    if before != pile.queue_len:
+                        pile = PileState(node, pile.location, before, pile.service_rate)
+                    break
+            results.append(evaluate_charging_request(request, pile, weights))
+        return results
+
+    def _jobs_handled(self, fnc_node: NodeId, done: _JobsHandled):
+        """The last job is handled: score every reply, and decide at the latest arrival."""
+        window = self._windows[done.request_id]
+        window.results = self._score(window)
+        self.queue.schedule(window.last_arrival, fnc_node, _Deadline(done.request_id))
 
     def _result_into_window(self, result: JobResult, arrival: SimTime):
-        """File ``result`` with its request's window the moment the pile sends it.
+        """File ``result`` with its terminal's window the moment the pile sends it.
 
-        Neither a terminal nor an FNC has receiver load, so a reply's arrival
-        is fixed at send.  One due at or after the deadline misses the window,
-        as the deadline event, queued before any reply was sent, fires first
-        on a tie.  Once every dispatched job has replied in time, an FNC's
-        window is decided at the latest arrival, where the last reply would
-        have been handled; a terminal's expects none and waits for its
-        deadline.  A reply due past the horizon counts in ``events_left``.
+        A terminal has no receiver load, so a reply's arrival is fixed at
+        send.  One due at or after the deadline misses the window, as the
+        deadline event, queued before any reply was sent, fires first on a
+        tie.  A reply due past the horizon counts in ``events_left``.
         """
         if arrival > self.horizon:
-            self._filed_past_horizon += 1
+            self._past_horizon += 1
         window = self._windows.get(result.request_id)
         if window is None or arrival >= window.deadline:
             return
         window.results.append(result)
         if window.last_arrival is None or arrival > window.last_arrival:
             window.last_arrival = arrival
-        if len(window.results) == window.expected:
-            self.queue.schedule(window.last_arrival, window.decider,
-                                _Deadline(result.request_id))
 
     def _agg_timeout(self, fnc_node: NodeId, deadline: _Deadline):
         request_id = deadline.request_id
         window = self._windows.pop(request_id, None)
         if window is None:
             return  # decided at its last reply's arrival
+        if not window.results:  # some reply misses the deadline
+            window.results = self._score(window)
         if window.results:
             self._decide(fnc_node, window)
         else:
@@ -625,12 +783,14 @@ class Simulation:
                 FailureNotice(request_id, "aggregation-timeout"), request_id,
             )
 
-    def _decide(self, fnc_node: NodeId, window: _ReplyWindow):
+    def _decide(self, fnc_node: NodeId, window: _FanOutWindow):
         request = window.request
+        self._tally.aggregated += len(window.results)
         decision = aggregate(request.request_id, window.results, self.queue.clock)
         self.send_wireless(fnc_node, request.requester, decision, request.request_id)
 
     def _decision_at_terminal(self, node: NodeId, decision: Decision):
+        self._log_load(self.piles[decision.chosen].pile)
         self._complete(node, decision, self.queue.clock)
 
     def _failure_at_terminal(self, node: NodeId, notice: FailureNotice):
@@ -803,7 +963,7 @@ class Simulation:
             _ReportTick: _report_piles,
             _DrainTick: _drain_piles,
             ServiceRequest: _fnc_process,
-            JobDispatch: _reply_to_fnc,
+            _JobsHandled: _jobs_handled,
             _Deadline: _agg_timeout,
             Decision: _decision_at_terminal,
             FailureNotice: _failure_at_terminal,
@@ -817,14 +977,81 @@ class Simulation:
     }
 
     # Per architecture, the config field that names how long after arrival
-    # a payload is handled.  A broadcast query is checked against pile
-    # capacity on arrival, so the traditional table is empty.
+    # a queued payload is handled.  A broadcast query is checked against
+    # pile capacity on arrival, so the traditional table is empty; a job's
+    # handling is booked at dispatch.
     _SERVICE_MS = {
         "traditional": {},
-        "coordinated": {ServiceRequest: "fnc_service_ms", JobDispatch: "compute_ms"},
+        "coordinated": {ServiceRequest: "fnc_service_ms"},
     }
 
     # ------------------------------------------------------------ results
+    def _total_load(self) -> int:
+        return sum(host.pile.queue_len for host in self.piles.values())
+
+    def _check_conservation(self):
+        """Raise InvariantViolation on the first conservation law the run breaks.
+
+        A request or flow with a message still due past the horizon may be
+        caught mid-way; every other one must have come to rest.
+        """
+        due = set()
+        for event in self.queue:
+            due.add(getattr(event.payload, "request_id", None))
+            due.add(getattr(event.payload, "flow_id", None))
+
+        def broken(law, detail):
+            raise InvariantViolation(f"{law}: {detail}")
+
+        tally = self._tally
+        used = decided = 0
+        for o in self.outcomes:
+            used += o.messages_used
+            if o.decided_at is not None:
+                decided += 1
+                if o.failure is not None:
+                    broken("outcomes", f"{o.request_id} decided and failed ({o.failure})")
+            elif o.failure is None and o.request_id not in due:
+                broken("outcomes", f"{o.request_id} undecided, with no failure and "
+                                   "nothing due past the horizon")
+
+        if self.messages_total != used + tally.unattributed:
+            broken("messages", f"{self.messages_total} sent != {used} used by requests "
+                               f"+ {tally.unattributed} with no request")
+        if tally.aggregated > tally.replies:
+            broken("messages", f"FNC decisions read {tally.aggregated} replies, "
+                               f"but piles sent {tally.replies}")
+
+        for request_id, window in self._windows.items():
+            if window.deadline <= self.horizon:
+                broken("windows", f"{request_id} open past its deadline {window.deadline} "
+                                  f"<= horizon {self.horizon}")
+
+        resident: dict[str, list[NodeId]] = {}
+        for node, host in self.piles.items():
+            for flow_id, flow in host.flows.items():
+                resident.setdefault(flow_id, []).append(node)
+                if flow.frozen and flow_id not in due:
+                    broken("flows", f"{flow_id} left frozen at {node}")
+            for flow_id in host._reservations:
+                if flow_id not in due:
+                    broken("flows", f"{node} still holds a reservation for {flow_id}")
+        for term in self.terminals.values():
+            flow_id = term.flow_id
+            if flow_id is None or flow_id in due:
+                continue
+            if resident.get(flow_id) != [term.serving_pile]:
+                broken("flows", f"{flow_id} resident at {resident.get(flow_id)}, "
+                                f"served by {term.serving_pile}")
+            if term.migration_active or flow_id in self._active_migrations:
+                broken("flows", f"{flow_id} migrating with nothing due past the horizon")
+
+        expected = tally.base_load + decided - tally.drained
+        if self._total_load() != expected:
+            broken("pile load", f"queues hold {self._total_load()}, but {tally.base_load} "
+                                f"at the start + {decided} decisions - {tally.drained} "
+                                f"drains = {expected}")
+
     def summary_row(self, run_id: str = "", swept_variable: str = "",
                     swept_value: float | None = None) -> MetricsRow:
         latencies = [o.latency_ms for o in self.outcomes if o.completed]

@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
+from gridfog import scenario
 from gridfog.engine import LatencyModel, link_latency
+from gridfog.errors import InvariantViolation
 from gridfog.messages import ServiceRequest, StatusReportMsg
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
 from gridfog.topology import Point2D
@@ -531,12 +533,17 @@ def test_events_left_counts_what_is_still_queued_at_the_horizon():
 def test_events_left_counts_fnc_replies_due_past_the_horizon():
     # A 30 s backhaul delays every reply to its FNC past the horizon, and
     # the status reports of the run's last 20 s; the repeats among those
-    # are filed at send, not queued, but still count.
+    # are filed at send, not queued, but still count.  So do the jobs of
+    # the run's last 10 s, whose piles would handle them past the horizon:
+    # a job's handling is booked at dispatch, not queued.
     sim, sent, _ = run_noting_reports(ScenarioConfig(seed=1, architecture="coordinated",
                                                      backhaul_base_ms=30_000.0))
     repeats = sum(1 for _, arrival, _, new in sent if not new and arrival > sim.horizon)
-    assert replies_past_horizon(sim) > 0 and repeats > 0
-    assert sim.events_left == len(sim.queue) + replies_past_horizon(sim) + repeats == 575
+    unhandled = sum(1 for t in sim.trace if t.kind == "JobDispatch"
+                    and t.arrives_at + sim.config.compute_ms > sim.horizon)
+    assert replies_past_horizon(sim) > 0 and repeats > 0 and unhandled > 0
+    assert sim.events_left == (len(sim.queue) + replies_past_horizon(sim) + repeats
+                               + unhandled) == 575
 
 
 def test_full_pile_ignores_broadcasts():
@@ -580,6 +587,7 @@ def test_run_leaves_no_reply_window_open(architecture):
     sim = run_scenario(small_config(architecture=architecture))
     assert sim.outcomes
     assert not sim._windows
+    sim._check_conservation()
 
 
 def trace_by_request(sim):
@@ -653,6 +661,77 @@ def test_fnc_decides_at_the_deadline_among_replies_that_beat_it():
     assert partial and late_best
 
 
+def load_changes(sim, initial):
+    """Each instant the lone pile's load changes, and its load after, from the trace.
+
+    Every decision that reaches its terminal adds one charge; every drain
+    takes one off a non-empty pile.
+    """
+    period = 3_600_000.0 / sim.config.service_rate_per_hour
+    changes = [(t.arrives_at, +1) for t in sim.trace if t.kind == "Decision"]
+    changes += [(k * period, -1)
+                for k in range(1, int(sim.config.sim_duration_ms // period) + 1)]
+    load, after = initial, []
+    for at, step in sorted(changes):
+        load = max(0, load + step)
+        after.append((at, load))
+    return after
+
+
+def test_a_job_is_scored_on_its_piles_load_when_handled(monkeypatch):
+    # One pile, drained every 100 ms and charged by every decision, so its
+    # load moves while jobs are in flight.  A job is scored on the load
+    # its pile has at the instant it handles the job, not at dispatch.
+    cfg = ScenarioConfig(seed=2, architecture="coordinated", n_terminals=4, n_fog=1,
+                         n_fnc=1, request_rate=120.0, sim_duration_ms=10_000.0,
+                         service_rate_per_hour=36_000.0, w_dist=0.0)
+    scored = {}
+    evaluate = scenario.evaluate_charging_request
+
+    def spy(request, pile, weights):
+        result = evaluate(request, pile, weights)
+        scored[request.request_id] = (pile.queue_len, result.score)
+        return result
+
+    monkeypatch.setattr(scenario, "evaluate_charging_request", spy)
+    sim = Simulation(cfg, trace=[])
+    (pile,) = sim.piles.values()
+    pile.pile.queue_len = 3
+    sim.run()
+    changes = load_changes(sim, 3)
+
+    def load_at(instant):
+        return next((load for at, load in reversed(changes) if at < instant), 3)
+
+    moved = 0
+    for t in sim.trace:
+        if t.kind != "JobDispatch" or t.request_id not in scored:
+            continue
+        handled_at = t.arrives_at + cfg.compute_ms
+        load, score = scored[t.request_id]
+        assert load == load_at(handled_at)
+        assert score == cfg.w_wait * load / cfg.service_rate_per_hour
+        moved += load_at(t.sent_at) != load
+    assert moved > 10
+
+
+@pytest.mark.parametrize("law, tamper", [
+    ("pile load", lambda sim: setattr(next(iter(sim.piles.values())).pile, "queue_len", 99)),
+    ("flows", lambda sim: next(iter(sim.piles.values()))._reservations.add("flow-x")),
+    ("windows", lambda sim: sim._windows.update(
+        stale=scenario._ReplyWindow(None, None, sim.horizon))),
+    ("messages", lambda sim: setattr(sim, "messages_total", sim.messages_total + 1)),
+    ("outcomes", lambda sim: setattr(sim.outcomes[0], "failure", None)
+     or setattr(sim.outcomes[0], "decided_at", None)),
+])
+def test_conservation_check_names_the_broken_law(law, tamper):
+    sim = run_scenario(small_config(architecture="coordinated"))
+    sim._check_conservation()
+    tamper(sim)
+    with pytest.raises(InvariantViolation, match=f"^{law}: "):
+        sim._check_conservation()
+
+
 class _Stray:
     """A payload that no architecture routes."""
 
@@ -718,6 +797,7 @@ def test_migrated_flows_end_resident_on_their_serving_pile(seed):
     for pile in sim.piles.values():
         assert not any(flow.frozen for flow in pile.flows.values())
         assert not pile._reservations
+    sim._check_conservation()
 
 
 def test_runs_are_reproducible():

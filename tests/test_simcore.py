@@ -122,6 +122,31 @@ def test_event_order_is_total():
     assert len({s for _, s in seen}) == 10_000
 
 
+def test_a_reserved_number_sorts_where_a_schedule_then_would_have():
+    q = EventQueue()
+    q.schedule(5.0, "n", "before")
+    seq = q.reserve()
+    q.schedule(5.0, "n", "after")
+    q.schedule(2.0, "n", "earlier")
+    assert len(q) == 3  # a reservation stores nothing
+    q.schedule_reserved(5.0, seq, "n", "reserved")
+    seen = []
+    q.run_until(10.0, lambda ev: seen.append((ev.payload, ev.seq)))
+    assert seen == [("earlier", 3), ("before", 0), ("reserved", 1), ("after", 2)]
+
+
+def test_a_reservation_cannot_be_stored_before_the_clock():
+    q = EventQueue()
+    q.schedule(7.0, "a", "x")
+    seq = q.reserve()
+    q.run_until(7.0, lambda ev: None)
+    with pytest.raises(SchedulingInPast):
+        q.schedule_reserved(6.999, seq, "a", "late")
+    assert len(q) == 0
+    q.schedule_reserved(7.0, seq, "a", "now")
+    assert len(q) == 1
+
+
 def test_clock_never_rewinds_in_handler():
     rng = random.Random(19)
     q = EventQueue()

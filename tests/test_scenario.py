@@ -695,8 +695,8 @@ def test_a_job_is_scored_on_its_piles_load_when_handled(monkeypatch):
 
     monkeypatch.setattr(scenario, "evaluate_charging_request", spy)
     sim = Simulation(cfg, trace=[])
-    (pile,) = sim.piles.values()
-    pile.pile.queue_len = 3
+    (host,) = sim.piles.values()
+    host.pile.queue_len = 3
     sim.run()
     changes = load_changes(sim, 3)
 

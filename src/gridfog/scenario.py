@@ -281,11 +281,19 @@ class _Deadline:
     request_id: str
 
 
+# The payloads a node sends on no request's behalf.  Any other send with no
+# request id is lost to the messages law.
+_UNATTRIBUTED = frozenset({
+    StatusReportMsg, LatencyComplaint, StartMigration, MigrationResponse, ObjectStateMsg,
+    MigrationAck,
+})
+
+
 @dataclass(slots=True)
 class _Tally:
     """Counts that only the end-of-run conservation check reads."""
 
-    unattributed: int = 0  # sends that carry no request id
+    unattributed: int = 0  # status reports and migration messages, which serve no request
     replies: int = 0  # JobResult messages piles sent to FNCs
     aggregated: int = 0  # replies read by FNC decisions
     drained: int = 0  # charges the drains took off non-empty piles
@@ -538,7 +546,8 @@ class Simulation:
             self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
         self.messages_total += 1
         if request_id is None:
-            self._tally.unattributed += 1
+            if kind in _UNATTRIBUTED:
+                self._tally.unattributed += 1
         else:
             self._outcome_by_id[request_id].messages_used += 1
         if self._traced:
@@ -560,8 +569,7 @@ class Simulation:
     def run(self) -> "Simulation":
         if self.events_left is not None:
             return self
-        completed = sum(1 for o in self.outcomes if o.completed)
-        self._tally.base_load = self._total_load() - completed + self._tally.drained
+        self._tally.base_load = self._total_load()
         self.queue.run_until(self.horizon, self._handle)
         if self._traced and self._booking is not None:
             self._flush_held(math.inf, 0)
@@ -1017,7 +1025,8 @@ class Simulation:
 
         if self.messages_total != used + tally.unattributed:
             broken("messages", f"{self.messages_total} sent != {used} used by requests "
-                               f"+ {tally.unattributed} with no request")
+                               f"+ {tally.unattributed} status reports and migration "
+                               "messages")
         if tally.aggregated > tally.replies:
             broken("messages", f"FNC decisions read {tally.aggregated} replies, "
                                f"but piles sent {tally.replies}")

@@ -715,12 +715,18 @@ def test_a_job_is_scored_on_its_piles_load_when_handled(monkeypatch):
     assert moved > 10
 
 
+class _Stray:
+    """A payload that no architecture routes."""
+
+
 @pytest.mark.parametrize("law, tamper", [
     ("pile load", lambda sim: setattr(next(iter(sim.piles.values())).pile, "queue_len", 99)),
     ("flows", lambda sim: next(iter(sim.piles.values()))._reservations.add("flow-x")),
     ("windows", lambda sim: sim._windows.update(
         stale=scenario._ReplyWindow(None, None, sim.horizon))),
     ("messages", lambda sim: setattr(sim, "messages_total", sim.messages_total + 1)),
+    pytest.param("messages", lambda sim: sim.send_wired(
+        next(iter(sim.piles)), next(iter(sim.registries)), _Stray()), id="messages-stray-send"),
     ("outcomes", lambda sim: setattr(sim.outcomes[0], "failure", None)
      or setattr(sim.outcomes[0], "decided_at", None)),
 ])
@@ -730,10 +736,6 @@ def test_conservation_check_names_the_broken_law(law, tamper):
     tamper(sim)
     with pytest.raises(InvariantViolation, match=f"^{law}: "):
         sim._check_conservation()
-
-
-class _Stray:
-    """A payload that no architecture routes."""
 
 
 @pytest.mark.parametrize("architecture", ["traditional", "coordinated"])

@@ -8,9 +8,11 @@ picks the lowest score among the results its reply window gathered.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .engine import SimTime
 from .errors import EmptyResultSet, NoEligibleNodes
-from .messages import Decision, JobDispatch, JobResult, ServiceRequest
+from .messages import Decision, JobDispatch, JobResult, ServiceRequest, new_job_dispatch
 from .topology import Layer, NodeId, Registry, nodes_within
 
 
@@ -31,7 +33,7 @@ def dispatch(
     """One JobDispatch per candidate, stamped with the dispatch time."""
     if not candidates:
         raise NoEligibleNodes(request.request_id)
-    return [JobDispatch(request, node, clock) for node in candidates]
+    return list(map(new_job_dispatch, zip(repeat(request), candidates, repeat(clock))))
 
 
 def aggregate(request_id: str, results: list[JobResult], clock: SimTime) -> Decision:

@@ -63,14 +63,14 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         return event
 
-    def reserve(self) -> int:
-        """Take the next sequence number without storing an event.
+    def reserve(self, n: int = 1) -> int:
+        """Take the next ``n`` sequence numbers without storing an event; returns the first.
 
-        An event later stored at this number with :meth:`schedule_reserved`
+        An event later stored at one of them with :meth:`schedule_reserved`
         sorts among same-instant events where one scheduled now would have.
         """
         seq = self._next_seq
-        self._next_seq += 1
+        self._next_seq += n
         return seq
 
     def schedule_reserved(self, fire_at: SimTime, seq: int, target: Any,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .engine import SimTime
 from .errors import CapacityExceeded, FlowNotResident
-from .messages import JobResult, ServiceRequest
+from .messages import JobResult, ServiceRequest, new_job_result
 from .topology import NodeId, Point2D
 
 log = logging.getLogger(__name__)
@@ -77,27 +77,36 @@ class PileState:
         if self.service_rate <= 0:
             raise ValueError("service_rate must be > 0")
 
-    @property
-    def expected_wait_hours(self) -> float:
-        return self.queue_len / self.service_rate
+
+def score_piles(
+    request: ServiceRequest, offers: list[tuple[PileState, int]], weights: tuple[float, float]
+) -> list[JobResult]:
+    """Score each ``(pile, queue length)`` offer for one request; lower is better.
+
+    score = w_dist * distance(request origin, pile) + w_wait * expected wait,
+    with the wait term in virtual hours (queue_len / hourly service rate).
+    The weights are taken as valid.
+    """
+    w_dist, w_wait = weights
+    origin, request_id = request.origin, request.request_id
+    results = []
+    for pile, load in offers:
+        score = w_dist * math.dist(pile.location, origin) + w_wait * (load / pile.service_rate)
+        if not math.isfinite(score):
+            raise ValueError("score must be finite")
+        results.append(new_job_result((request_id, pile.node, score)))
+    return results
 
 
 def evaluate_charging_request(
     request: ServiceRequest, pile: PileState, weights: tuple[float, float]
 ) -> JobResult:
-    """Score one pile for one request; lower scores are better offers.
-
-    score = w_dist * distance(request origin, pile) + w_wait * expected wait,
-    with the wait term in virtual hours (queue_len / hourly service rate).
-    """
+    """Score one pile for one request at its queue length now; see :func:`score_piles`."""
     w_dist, w_wait = weights
     if w_dist < 0 or w_wait < 0 or (w_dist == 0 and w_wait == 0):
         raise ValueError("weights must be >= 0 and not both zero")
-    dist = pile.location.distance_to(request.origin)
-    score = w_dist * dist + w_wait * pile.expected_wait_hours
-    if not math.isfinite(score):
-        raise ValueError("score must be finite")
-    return JobResult(request.request_id, pile.node, score)
+    [result] = score_piles(request, [(pile, pile.queue_len)], weights)
+    return result
 
 
 class FlowInstance:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .engine import SimTime
@@ -38,11 +39,17 @@ class JobDispatch(NamedTuple):
 
 
 class JobResult(NamedTuple):
-    """One pile's score for one request; ``evaluate_charging_request`` makes it."""
+    """One pile's score for one request; ``fognode.score_piles`` makes it."""
 
     request_id: str
     responder: NodeId
     score: float
+
+
+# ``new_job_result((request_id, responder, score))`` equals ``JobResult(...)``, and so
+# for dispatches, but skips the Python-level ``__new__`` that ``NamedTuple`` writes.
+new_job_dispatch = partial(tuple.__new__, JobDispatch)
+new_job_result = partial(tuple.__new__, JobResult)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ contend.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field, fields
@@ -31,11 +32,11 @@ from .fognode import (
     MigrationResponse,
     evaluate_charging_request,
     on_migration_end,
+    score_piles,
 )
 from .messages import (
     Decision,
     FailureNotice,
-    JobDispatch,
     JobResult,
     LatencyComplaint,
     ServiceRequest,
@@ -245,7 +246,7 @@ class _FanOutWindow(_ReplyWindow):
     """
 
     opened_at: SimTime = 0.0
-    jobs: list[tuple[SimTime, int, NodeId]] = field(default_factory=list)
+    jobs: list[tuple[SimTime, int, PileState]] = field(default_factory=list)
 
 
 # Internal payloads.  A periodic tick has no target, acts on every node of
@@ -305,14 +306,14 @@ class _Booking:
     """What a coordinated run needs to book each job's handling at dispatch.
 
     A job is scored after the instant its pile handles it, against the load
-    its pile had then, so each pile logs its load before every change, keyed
-    by the ``(clock, seq)`` of the changing event.  Each job's reply is
-    traced where its handling would have put it, so its row is held in a
-    heap keyed ``(handled_at, seq)`` until the stream gets there.
+    its pile had then, so each load change is logged, in event order, as
+    ``(clock, seq)`` of the changing event, pile and load before.  Each
+    job's reply is traced where its handling would have put it, so its row
+    is held in a heap keyed ``(handled_at, seq)`` until the stream gets there.
     """
 
     seq: int = -1  # sequence number of the event being handled
-    loads: dict[NodeId, list[tuple[SimTime, int, int]]] = field(default_factory=dict)
+    changes: list[tuple[SimTime, int, NodeId, int]] = field(default_factory=list)
     held: list[tuple[SimTime, int, SendTrace]] = field(default_factory=list)
 
 
@@ -366,10 +367,10 @@ class Simulation:
         self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
         # One reply window per open request, whichever node decides it.
         self._windows: dict[str, _ReplyWindow] = {}
-        # Each backhaul pair's latency at no receiver load, either way round
-        # (``hypot`` is symmetric).  Wired links join only piles and FNCs,
-        # which never move, so it is computed once per run.
-        self._wired_ms: dict[tuple[NodeId, NodeId], float] = {}
+        # Each backhaul pair's latency at no receiver load, keyed by the lesser
+        # node and then the greater (``hypot`` is symmetric).  Wired links join
+        # only piles and FNCs, which never move, so each is computed once.
+        self._wired_ms: dict[NodeId, dict[NodeId, float]] = {}
 
         pile_records = [rec for rec in self.records if rec.node.layer == Layer.FOG]
         self.piles: dict[NodeId, FogNode] = {}
@@ -514,10 +515,11 @@ class Simulation:
         return arrival
 
     def send_wired(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
-        pair = (src, dst) if src < dst else (dst, src)
-        fixed = self._wired_ms.get(pair)
+        lesser, greater = (src, dst) if src < dst else (dst, src)
+        costs = self._wired_ms.setdefault(lesser, {})
+        fixed = costs.get(greater)
         if fixed is None:
-            fixed = self._wired_ms[pair] = link_latency(
+            fixed = costs[greater] = link_latency(
                 self.backhaul, self.position(src), self.position(dst), 0.0)
         host = self.piles.get(dst)
         load = 0.0 if host is None else float(host.pile.queue_len)
@@ -530,8 +532,7 @@ class Simulation:
         """Hand ``payload`` to ``dst`` once its receiver's service time has passed.
 
         A reply is filed with its request's window now, as its arrival is
-        fixed at send.  A job's handling is booked by its FNC's window at
-        dispatch.  A status report stamped before now is a repeat that its
+        fixed at send.  A status report stamped before now is a repeat that its
         FNC holds, or will once an earlier copy arrives, so it changes
         nothing and is only counted.  Any other payload is queued.  The
         trace records the true arrival either way.
@@ -542,7 +543,7 @@ class Simulation:
         elif kind is StatusReportMsg and payload.status.reported_at < self.queue.clock:
             if arrival > self.horizon:
                 self._past_horizon += 1
-        elif kind is not JobDispatch:
+        else:
             self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
         self.messages_total += 1
         if request_id is None:
@@ -627,13 +628,9 @@ class Simulation:
         oldest one's dispatch, so older entries go.
         """
         booking, clock = self._booking, self.queue.clock
-        log = booking.loads.setdefault(pile.node, [])
         oldest = next(iter(self._windows.values())).opened_at if self._windows else clock
-        stale = 0
-        while stale < len(log) and log[stale][0] < oldest:
-            stale += 1
-        del log[:stale]
-        log.append((clock, booking.seq, pile.queue_len))
+        del booking.changes[:bisect.bisect_left(booking.changes, (oldest,))]
+        booking.changes.append((clock, booking.seq, pile.node, pile.queue_len))
 
     # --------------------------------------------------------- requesting
     def _issue_request(self, node: NodeId, tick: _RequestTick):
@@ -667,91 +664,97 @@ class Simulation:
         return fnc_id(sector_index(request.origin, self.config.n_fnc))
 
     def _fnc_process(self, fnc_node: NodeId, request: ServiceRequest):
-        """Dispatch one job per candidate and book when each is handled.
+        """Dispatch one job per candidate and book when each is handled, with no event.
 
-        A pile handles its job ``compute_ms`` after the job arrives and
-        replies at once; the FNC has no receiver load, so the reply's
-        arrival is fixed at dispatch too.  Each job takes the sequence
-        number its handling event would have had, and no event: a reply is
-        counted and traced at dispatch, its row held until the stream
-        reaches its handling.  A reply due at or after the deadline misses
-        the window, as the deadline event, queued before any job was
-        handled, fires first on a tie.  When every reply is in time, one
-        event at the last job's handling scores them all; otherwise the
-        deadline scores those that beat it.  A job handled past the horizon
-        sends no reply, and it and a reply due past the horizon count in
-        ``events_left``.
+        A job arrives after ``send_wired``'s delay, to the bit.  Its pile
+        handles it ``compute_ms`` later and replies at once; the FNC has no
+        receiver load, so the reply's arrival is fixed at dispatch too.  Both
+        are counted and traced at dispatch, the reply's row held until the
+        stream reaches the job's handling, whose sequence number the job
+        takes.  A reply due at or after the deadline misses the window, as
+        the deadline event, queued before any reply was sent, fires first on
+        a tie.  When every reply is in time, one event at the last job's
+        handling scores them all; otherwise the deadline scores those that
+        beat it.  A job handled past the horizon sends no reply; it and a
+        reply due past the horizon count in ``events_left``.
         """
         try:
             candidates = filter_candidates(self.registries[fnc_node], request)
         except NoEligibleNodes:
-            self.send_wireless(
-                fnc_node, request.requester,
-                FailureNotice(request.request_id, "no-eligible-nodes"),
-                request.request_id,
-            )
+            self.send_wireless(fnc_node, request.requester, FailureNotice(
+                request.request_id, "no-eligible-nodes"), request.request_id)
             return
-        queue, horizon, compute_ms = self.queue, self.horizon, self.config.compute_ms
+        cfg, queue, horizon, piles = self.config, self.queue, self.horizon, self.piles
         clock, request_id = queue.clock, request.request_id
-        window = _FanOutWindow(request, fnc_node, clock + self.config.aggregation_timeout_ms,
+        window = _FanOutWindow(request, fnc_node, clock + cfg.aggregation_timeout_ms,
                                opened_at=clock)
         self._windows[request_id] = window
-        deadline, booked, wired_ms = window.deadline, window.jobs, self._wired_ms
-        sent = past = 0
-        all_in_time, last_handled, last_seq = True, -math.inf, -1
-        for job in dispatch(request, candidates, clock):
-            pile = job.assignee
-            handled_at = self.send_wired(fnc_node, pile, job, request_id) + compute_ms
-            seq = queue.reserve()
+        deadline, booked, compute_ms = window.deadline, window.jobs, cfg.compute_ms
+        jobs = dispatch(request, candidates, clock)
+        first, proc = queue.reserve(len(jobs)), self.backhaul.proc_ms_per_unit
+        # An FNC's id sorts before every pile's ("fnc" < "fog"), so it keys its links.
+        costs = self._wired_ms.setdefault(fnc_node, {})
+        here, traced = self.position(fnc_node), self._traced
+        if traced:
+            self._flush_held(clock, self._booking.seq)
+        unhandled, past, latest = 0, 0, -math.inf
+        for seq, job in enumerate(jobs, first):
+            node = job.assignee
+            fixed = costs.get(node)
+            if fixed is None:
+                fixed = costs[node] = link_latency(self.backhaul, here, self.position(node), 0.0)
+            pile = piles[node].pile
+            load = pile.queue_len
+            arrival = clock + (fixed + proc * load)
+            handled_at = arrival + compute_ms
+            if traced:
+                distance = here.distance_to(self.position(node))
+                self.trace.append(SendTrace(clock, arrival, "backhaul", fnc_node, node, distance,
+                                            float(load), type(job).__name__, request_id))
             if handled_at > horizon:
-                past += 1
-                all_in_time = False
+                unhandled += 1
                 continue
-            # The dispatch cached the pair's load-free cost, which the reply pays.
-            arrival = handled_at + wired_ms[(fnc_node, pile) if fnc_node < pile
-                                            else (pile, fnc_node)]
-            sent += 1
-            past += arrival > horizon
-            if arrival < deadline:
+            reply = handled_at + fixed  # the reply pays the pair's load-free cost
+            if reply > horizon:
+                past += 1
+            if reply < deadline:
                 booked.append((handled_at, seq, pile))
-                if window.last_arrival is None or arrival > window.last_arrival:
-                    window.last_arrival = arrival
-                if handled_at >= last_handled:
-                    last_handled, last_seq = handled_at, seq
-            else:
-                all_in_time = False
-            if self._traced:
-                distance = self.position(pile).distance_to(self.position(fnc_node))
+                if reply > latest:
+                    latest = reply
+            if traced:
                 heapq.heappush(self._booking.held, (handled_at, seq, SendTrace(
-                    handled_at, arrival, "backhaul", pile, fnc_node, distance, 0.0,
+                    handled_at, reply, "backhaul", node, fnc_node, distance, 0.0,
                     "JobResult", request_id)))
-        self.messages_total += sent
-        self._outcome_by_id[request_id].messages_used += sent
+        sent = len(jobs) - unhandled
+        self.messages_total += len(jobs) + sent
+        self._outcome_by_id[request_id].messages_used += len(jobs) + sent
         self._tally.replies += sent
-        self._past_horizon += past
-        if all_in_time:
+        self._past_horizon += unhandled + past
+        if len(booked) == len(jobs):  # every reply in time
+            last_handled, last_seq, _ = max(booked)
             queue.schedule_reserved(last_handled, last_seq, fnc_node, _JobsHandled(request_id))
+        if booked:
+            window.last_arrival = latest
         queue.schedule(deadline, fnc_node, _Deadline(request_id))
 
     def _score(self, window: _FanOutWindow) -> list[JobResult]:
         """Score each booked job against its pile's load when the pile handled it.
 
         That load is the one logged before the pile's first change after the
-        job's ``(handled_at, seq)``, or its load now if none came since; a
-        job whose pile has moved on is scored on a copy at the old load.
+        job's ``(handled_at, seq)``, or its load now if none came since.  No
+        job is handled before its window opened, so older changes are skipped.
         """
-        request, weights = window.request, self.config.weights
-        piles, logs = self.piles, self._booking.loads
-        results = []
-        for handled_at, seq, node in window.jobs:
-            pile = piles[node].pile
-            for changed_at, changed_seq, before in logs.get(node, ()):
-                if changed_at > handled_at or changed_at == handled_at and changed_seq > seq:
-                    if before != pile.queue_len:
-                        pile = PileState(node, pile.location, before, pile.service_rate)
-                    break
-            results.append(evaluate_charging_request(request, pile, weights))
-        return results
+        jobs, changes = window.jobs, self._booking.changes
+        offers = [(pile, pile.queue_len) for _, _, pile in jobs]
+        since = bisect.bisect_left(changes, (window.opened_at,))
+        if since < len(changes):
+            job_of = {pile.node: i for i, (_, _, pile) in enumerate(jobs)}
+            for at, seq, node, before in changes[since:]:
+                i = job_of.get(node)
+                if i is not None and (at, seq) > jobs[i][:2]:
+                    offers[i] = (offers[i][0], before)
+                    del job_of[node]
+        return score_piles(window.request, offers, self.config.weights)
 
     def _jobs_handled(self, fnc_node: NodeId, done: _JobsHandled):
         """The last job is handled: score every reply, and decide at the latest arrival."""
@@ -786,10 +789,8 @@ class Simulation:
         if window.results:
             self._decide(fnc_node, window)
         else:
-            self.send_wireless(
-                fnc_node, window.request.requester,
-                FailureNotice(request_id, "aggregation-timeout"), request_id,
-            )
+            self.send_wireless(fnc_node, window.request.requester,
+                               FailureNotice(request_id, "aggregation-timeout"), request_id)
 
     def _decide(self, fnc_node: NodeId, window: _FanOutWindow):
         request = window.request
@@ -861,16 +862,13 @@ class Simulation:
             self.send_wireless(node, term.serving_pile, complaint)
 
     def _candidate_group(self, source: NodeId, origin: Point2D) -> tuple[NodeId, ...]:
-        registry = self.registries[fnc_id(0)]
-        scored = []
-        for status in registry.entries():
-            if status.node.layer != Layer.FOG or status.node == source:
-                continue
-            if status.resources.queue_len >= status.resources.capacity:
-                continue
-            predicted = link_latency(self.wireless, status.location, origin, 0.0)
-            scored.append((predicted, status.node))
-        scored.sort()
+        """Piles other than ``source`` with headroom, by predicted latency to ``origin``."""
+        base, per_m = self.wireless.base_ms, self.wireless.prop_ms_per_m
+        scored = sorted([
+            (base + per_m * math.dist(origin, status.location), node)  # link_latency, no load
+            for node, status in self.registries[fnc_id(0)].statuses.items()
+            if node.layer == Layer.FOG and node != source
+            and (load := status.resources).queue_len < load.capacity])
         return tuple(node for _, node in scored)
 
     def _complaint_at_pile(self, pile_node: NodeId, complaint: LatencyComplaint):

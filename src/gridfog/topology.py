@@ -10,8 +10,10 @@ no message reaches.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -174,7 +176,8 @@ class PileIndex:
     test.  Its distances may differ from ``Point2D.distance_to`` in the
     last bit, so they are compared with a relative slack far above that,
     plus an absolute one for distances in the subnormal range, where a
-    relative slack adds nothing.  ``Point2D.distance_to`` and a
+    relative slack adds nothing.  ``math.dist``, which takes ``hypot`` of
+    the coordinate differences just as ``Point2D.distance_to`` does, and a
     ``(distance, node)`` sort or min on the survivors then decide, so the
     answers equal those of a scan over every node.
     """
@@ -197,16 +200,17 @@ class PileIndex:
     def _distances(self, point: Point2D) -> np.ndarray:
         return np.abs(self._xy - complex(point.x, point.y))
 
-    def _exact(self, point: Point2D, d: np.ndarray, bound: float):
+    def _exact(self, point: Point2D, d: np.ndarray, bound: float) -> list[tuple[float, NodeId]]:
         """``(distance, pile)`` for the piles whose ``d`` is not clearly above ``bound``."""
         keep = d <= bound * (1.0 + self._REL_SLACK) + self._ABS_SLACK
-        for i in keep.nonzero()[0].tolist():
-            yield self._locations[i].distance_to(point), self._nodes[i]
+        locations, nodes = self._locations, self._nodes
+        return [(math.dist(locations[i], point), nodes[i]) for i in keep.nonzero()[0].tolist()]
 
     def within(self, center: Point2D, range_m: float) -> list[tuple[float, NodeId]]:
         """``(distance, pile)`` for every pile within ``range_m`` of ``center``, sorted."""
-        d = self._distances(center)
-        return sorted(hit for hit in self._exact(center, d, range_m) if hit[0] <= range_m)
+        hits = self._exact(center, self._distances(center), range_m)
+        hits.sort()
+        return hits[:bisect_right(hits, range_m, key=itemgetter(0))]
 
     def nearest(self, point: Point2D) -> NodeId | None:
         """The pile closest to ``point``, ties broken by NodeId; None without piles."""

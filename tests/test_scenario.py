@@ -1,14 +1,17 @@
 """End-to-end behaviour of assembled scenario runs."""
 
+import bisect
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from gridfog import scenario
 from gridfog.engine import LatencyModel, link_latency
 from gridfog.errors import InvariantViolation
+from gridfog.fognode import evaluate_charging_request
 from gridfog.messages import ServiceRequest, StatusReportMsg
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
 from gridfog.topology import Point2D
@@ -686,14 +689,14 @@ def test_a_job_is_scored_on_its_piles_load_when_handled(monkeypatch):
                          n_fnc=1, request_rate=120.0, sim_duration_ms=10_000.0,
                          service_rate_per_hour=36_000.0, w_dist=0.0)
     scored = {}
-    evaluate = scenario.evaluate_charging_request
+    aggregate = scenario.aggregate
 
-    def spy(request, pile, weights):
-        result = evaluate(request, pile, weights)
-        scored[request.request_id] = (pile.queue_len, result.score)
-        return result
+    def spy(request_id, results, clock):
+        [result] = results
+        scored[request_id] = result.score
+        return aggregate(request_id, results, clock)
 
-    monkeypatch.setattr(scenario, "evaluate_charging_request", spy)
+    monkeypatch.setattr(scenario, "aggregate", spy)
     sim = Simulation(cfg, trace=[])
     (host,) = sim.piles.values()
     host.pile.queue_len = 3
@@ -707,12 +710,64 @@ def test_a_job_is_scored_on_its_piles_load_when_handled(monkeypatch):
     for t in sim.trace:
         if t.kind != "JobDispatch" or t.request_id not in scored:
             continue
-        handled_at = t.arrives_at + cfg.compute_ms
-        load, score = scored[t.request_id]
-        assert load == load_at(handled_at)
-        assert score == cfg.w_wait * load / cfg.service_rate_per_hour
+        load = load_at(t.arrives_at + cfg.compute_ms)
+        assert scored[t.request_id] == cfg.w_wait * load / cfg.service_rate_per_hour
         moved += load_at(t.sent_at) != load
     assert moved > 10
+
+
+def test_every_score_a_decision_reads_is_the_one_pile_score_at_the_handled_load(monkeypatch):
+    # Dense requests on two piles, both weights non-zero, so loads move
+    # between a job's dispatch and its handling.  The FNC's batch scorer
+    # must give each reply the very bits the one-pile function gives its
+    # pile at the load it had when it handled the job.
+    cfg = ScenarioConfig(seed=3, architecture="coordinated", request_rate=2000.0,
+                         sim_duration_ms=6000.0, n_fog=2, wireless_air_ms=8.0)
+    assert cfg.w_dist > 0 and cfg.w_wait > 0
+    assert cfg.sim_duration_ms < 3_600_000.0 / cfg.service_rate_per_hour  # no drain
+    read = []
+    aggregate = scenario.aggregate
+
+    def spy(request_id, results, clock):
+        read.extend(results)
+        return aggregate(request_id, results, clock)
+
+    monkeypatch.setattr(scenario, "aggregate", spy)
+    sim = Simulation(cfg, trace=[])
+    requests = {}
+    send = sim.send_wireless
+
+    def note(src, dst, payload, request_id=None):
+        if isinstance(payload, ServiceRequest):
+            requests[payload.request_id] = payload
+        return send(src, dst, payload, request_id)
+
+    sim.send_wireless = note
+    sim.run()
+    # Each pile starts empty and gains one charge per decision that reaches
+    # its terminal.
+    charged = {node: [] for node in sim.piles}
+    for t in sim.trace:
+        chosen = sim._outcome_by_id[t.request_id].chosen if t.kind == "Decision" else None
+        if chosen is not None:
+            charged[chosen].append(t.arrives_at)
+    for times in charged.values():
+        times.sort()
+    jobs = {(t.request_id, t.dst): t for t in sim.trace if t.kind == "JobDispatch"}
+
+    def load_at(node, instant):
+        assert instant not in charged[node]
+        return bisect.bisect_left(charged[node], instant)
+
+    moved = 0
+    for result in read:
+        job = jobs[result.request_id, result.responder]
+        load = load_at(result.responder, job.arrives_at + cfg.compute_ms)
+        at_load = replace(sim.piles[result.responder].pile, queue_len=load)
+        expected = evaluate_charging_request(requests[result.request_id], at_load, cfg.weights)
+        assert repr(result) == repr(expected)
+        moved += load_at(result.responder, job.sent_at) != load
+    assert len(read) > 1000 and moved > 10
 
 
 class _Stray:

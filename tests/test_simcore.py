@@ -135,6 +135,20 @@ def test_a_reserved_number_sorts_where_a_schedule_then_would_have():
     assert seen == [("earlier", 3), ("before", 0), ("reserved", 1), ("after", 2)]
 
 
+def test_a_block_reservation_takes_consecutive_numbers():
+    q = EventQueue()
+    q.schedule(1.0, "n", "before")
+    first = q.reserve(4)
+    assert first == 1
+    assert q.schedule(1.0, "n", "after").seq == first + 4
+    assert len(q) == 2  # a reservation stores nothing
+    for seq in reversed(range(first, first + 4)):
+        q.schedule_reserved(1.0, seq, "n", seq)
+    seen = []
+    q.run_until(1.0, lambda ev: seen.append(ev.payload))
+    assert seen == ["before", 1, 2, 3, 4, "after"]
+
+
 def test_a_reservation_cannot_be_stored_before_the_clock():
     q = EventQueue()
     q.schedule(7.0, "a", "x")

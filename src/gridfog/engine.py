@@ -38,12 +38,14 @@ class EventQueue:
 
     Single-threaded by contract: one logical execution context owns the
     queue.  Independent simulations each build their own queue.  ``clock``
-    is the virtual time now; only the queue moves it.
+    is the virtual time now and ``seq`` the sequence number of the event
+    being handled, -1 before the first; only the queue moves them.
     """
 
     def __init__(self, start: SimTime = 0.0):
         self._heap: list[SimEvent] = []
         self.clock: SimTime = start
+        self.seq = -1
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -91,10 +93,6 @@ class EventQueue:
         """The stored events, in no particular order."""
         return iter(self._heap)
 
-    def schedule_in(self, delay: SimTime, target: Any, payload: Any) -> SimEvent:
-        """Schedule ``delay`` milliseconds after the current clock."""
-        return self.schedule(self.clock + delay, target, payload)
-
     def run_until(self, deadline: SimTime, handler: Callable[[SimEvent], None]) -> int:
         """Process every event with ``fire_at <= deadline`` in order.
 
@@ -108,6 +106,7 @@ class EventQueue:
         while self._heap and self._heap[0].fire_at <= deadline:
             event = heapq.heappop(self._heap)
             self.clock = event.fire_at
+            self.seq = event.seq
             handler(event)
             processed += 1
         if deadline > self.clock:

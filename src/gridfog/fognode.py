@@ -307,19 +307,17 @@ class MigrationSourceSession:
         self.remaining: list[NodeId] = list(policy.candidates)
         self.attempts = 0
         self.current: NodeId | None = None
-        self.outcome: MigrationOutcome | None = None
 
     def begin(self, observed_latency_ms: float) -> MigrationStep:
         if observed_latency_ms < self.policy.t_upper:
-            self.outcome = MigrationOutcome("not-needed")
-            return MigrationStep("not-needed", outcome=self.outcome)
+            return MigrationStep("not-needed", outcome=MigrationOutcome("not-needed"))
         return self._next_candidate()
 
     def _next_candidate(self) -> MigrationStep:
         if not self.remaining or self.attempts >= self.policy.attempt_bound():
             log.warning("can not migrate: flow %s at %s", self.flow_id, self.host.node)
-            self.outcome = MigrationOutcome("failed", attempts=self.attempts, warned=True)
-            return MigrationStep("failed", outcome=self.outcome)
+            outcome = MigrationOutcome("failed", attempts=self.attempts, warned=True)
+            return MigrationStep("failed", outcome=outcome)
         self.current = self.remaining.pop(0)
         self.attempts += 1
         return MigrationStep("send-start", target=self.current)
@@ -338,10 +336,8 @@ class MigrationSourceSession:
     def on_ack(self, ok: bool, bounced_state: FlowState | None = None,
                bounced_pending: tuple = ()) -> MigrationStep:
         if ok:
-            self.outcome = MigrationOutcome(
-                "migrated", target=self.current, attempts=self.attempts
-            )
-            return MigrationStep("done", target=self.current, outcome=self.outcome)
+            outcome = MigrationOutcome("migrated", target=self.current, attempts=self.attempts)
+            return MigrationStep("done", target=self.current, outcome=outcome)
         self.host.reinstall_flow(bounced_state, list(bounced_pending))
         return self._next_candidate()
 

@@ -22,13 +22,12 @@ from .metrics import COLUMNS, MetricsRow, MetricsTable
 from .scenario import ARCHITECTURES, ScenarioConfig, SendTrace, run_scenario
 from .topology import NodeRecord
 
-SWEEP_VARIABLES = ("query_range_m", "n_requests", "n_fnc")
-
 DEFAULT_SWEEP_VALUES = {
     "query_range_m": (250.0, 500.0, 1000.0, 1500.0, 2000.0),
     "n_requests": (20.0, 40.0, 80.0, 160.0, 320.0),
     "n_fnc": (1.0, 2.0, 3.0, 4.0),
 }
+SWEEP_VARIABLES = tuple(DEFAULT_SWEEP_VALUES)
 
 # Flag spellings accepted by the command line.
 SWEEP_ALIASES = {"range": "query_range_m", "requests": "n_requests",

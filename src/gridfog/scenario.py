@@ -222,30 +222,30 @@ class _Terminal:
 
 @dataclass
 class _ReplyWindow:
-    """The replies one request's decider, a terminal or an FNC, gathers.
+    """The replies a broadcasting terminal gathers for one request.
 
-    A broadcasting terminal files each reply as its pile sends it and waits
-    for the deadline.
+    It files each reply as its pile sends it and waits for the deadline.
     """
 
     request: ServiceRequest
-    decider: NodeId
     deadline: SimTime
     results: list[JobResult] = field(default_factory=list)
     last_arrival: SimTime | None = None
 
 
 @dataclass
-class _FanOutWindow(_ReplyWindow):
+class _FanOutWindow:
     """An FNC's reply window, opened at ``opened_at`` with one job per candidate.
 
     The FNC books at dispatch each job whose reply will beat the deadline,
     as ``(handled_at, seq, pile)``: the instant and sequence number of the
     event that handling it would have been.  It scores them all at once,
-    and decides once they are all in.
+    when it decides.
     """
 
-    opened_at: SimTime = 0.0
+    request: ServiceRequest
+    deadline: SimTime
+    opened_at: SimTime
     jobs: list[tuple[SimTime, int, PileState]] = field(default_factory=list)
 
 
@@ -312,7 +312,6 @@ class _Booking:
     is held in a heap keyed ``(handled_at, seq)`` until the stream gets there.
     """
 
-    seq: int = -1  # sequence number of the event being handled
     changes: list[tuple[SimTime, int, NodeId, int]] = field(default_factory=list)
     held: list[tuple[SimTime, int, SendTrace]] = field(default_factory=list)
 
@@ -322,6 +321,7 @@ class _JobsHandled:
     """Every job of a request is handled by now, and each reply beats its deadline."""
 
     request_id: str
+    last_arrival: SimTime  # of the replies, when the FNC decides
 
 
 class Simulation:
@@ -381,9 +381,7 @@ class Simulation:
             )
             self.piles[rec.node] = FogNode(pile, capacity=config.capacity)
         self.pile_index = PileIndex(pile_records)
-
-        # Every registry learns every pile, so all share the run's pile index.
-        self.registries = {fnc_id(k): Registry(self.pile_index) for k in range(config.n_fnc)}
+        self.registries = {fnc_id(k): Registry() for k in range(config.n_fnc)}
 
         self.terminals = {rec.node: _Terminal(rec.node, rec.location)
                           for rec in self.records if rec.node.layer == Layer.TERMINAL}
@@ -410,10 +408,6 @@ class Simulation:
         # class only up to 30 names; past that every ``self.x`` in the event
         # loop slows, so new state joins an existing attribute's object.
         self._booking = _Booking() if config.architecture == "coordinated" else None
-        self._service_ms = {
-            payload: getattr(config, name)
-            for payload, name in self._SERVICE_MS[config.architecture].items()
-        }
         self._schedule_initial_events()
         self.events_left: int | None = None  # set by ``run``
 
@@ -543,8 +537,10 @@ class Simulation:
         elif kind is StatusReportMsg and payload.status.reported_at < self.queue.clock:
             if arrival > self.horizon:
                 self._past_horizon += 1
+        elif kind is ServiceRequest and dst.layer == Layer.FNC:
+            self.queue.schedule(arrival + self.config.fnc_service_ms, dst, payload)
         else:
-            self.queue.schedule(arrival + self._service_ms.get(kind, 0.0), dst, payload)
+            self.queue.schedule(arrival, dst, payload)
         self.messages_total += 1
         if request_id is None:
             if kind in _UNATTRIBUTED:
@@ -553,7 +549,7 @@ class Simulation:
             self._outcome_by_id[request_id].messages_used += 1
         if self._traced:
             if self._booking is not None:
-                self._flush_held(self.queue.clock, self._booking.seq)
+                self._flush_held(self.queue.clock, self.queue.seq)
             distance = self.position(src).distance_to(self.position(dst))
             self.trace.append(
                 SendTrace(self.queue.clock, arrival, medium, src, dst, distance, load,
@@ -579,20 +575,11 @@ class Simulation:
         self._check_conservation()
         return self
 
-    @property
-    def _handle(self):
-        """The event handler; a coordinated run also notes each event's sequence number."""
-        return self._route if self._booking is None else self._route_keyed
-
-    def _route(self, event):
+    def _handle(self, event):
         route = self._routes.get(type(event.payload))
         if route is None:
             raise TypeError(f"unhandled payload {type(event.payload).__name__}")
         route(self, event.target, event.payload)
-
-    def _route_keyed(self, event):
-        self._booking.seq = event.seq
-        self._route(event)
 
     # ------------------------------------------------------ periodic work
     def _step_terminals(self, _, tick: _MobilityTick):
@@ -627,10 +614,10 @@ class Simulation:
         Only the jobs of open windows read the log, none from before the
         oldest one's dispatch, so older entries go.
         """
-        booking, clock = self._booking, self.queue.clock
-        oldest = next(iter(self._windows.values())).opened_at if self._windows else clock
-        del booking.changes[:bisect.bisect_left(booking.changes, (oldest,))]
-        booking.changes.append((clock, booking.seq, pile.node, pile.queue_len))
+        changes, queue = self._booking.changes, self.queue
+        oldest = next(iter(self._windows.values())).opened_at if self._windows else queue.clock
+        del changes[:bisect.bisect_left(changes, (oldest,))]
+        changes.append((queue.clock, queue.seq, pile.node, pile.queue_len))
 
     # --------------------------------------------------------- requesting
     def _issue_request(self, node: NodeId, tick: _RequestTick):
@@ -652,7 +639,7 @@ class Simulation:
         if cfg.architecture == "coordinated":
             self.send_wireless(node, self._fnc_of(request), request, request.request_id)
         else:
-            window = _ReplyWindow(request, node, self.queue.clock + cfg.aggregation_timeout_ms)
+            window = _ReplyWindow(request, self.queue.clock + cfg.aggregation_timeout_ms)
             self._windows[request.request_id] = window
             for _, pile in self.pile_index.within(request.origin, cfg.query_range_m):
                 self.send_wireless(node, pile, request, request.request_id)
@@ -674,9 +661,9 @@ class Simulation:
         takes.  A reply due at or after the deadline misses the window, as
         the deadline event, queued before any reply was sent, fires first on
         a tie.  When every reply is in time, one event at the last job's
-        handling scores them all; otherwise the deadline scores those that
-        beat it.  A job handled past the horizon sends no reply; it and a
-        reply due past the horizon count in ``events_left``.
+        handling schedules the decision for the latest arrival; otherwise
+        the deadline decides.  A job handled past the horizon sends no
+        reply; it and a reply due past the horizon count in ``events_left``.
         """
         try:
             candidates = filter_candidates(self.registries[fnc_node], request)
@@ -686,8 +673,7 @@ class Simulation:
             return
         cfg, queue, horizon, piles = self.config, self.queue, self.horizon, self.piles
         clock, request_id = queue.clock, request.request_id
-        window = _FanOutWindow(request, fnc_node, clock + cfg.aggregation_timeout_ms,
-                               opened_at=clock)
+        window = _FanOutWindow(request, clock + cfg.aggregation_timeout_ms, clock)
         self._windows[request_id] = window
         deadline, booked, compute_ms = window.deadline, window.jobs, cfg.compute_ms
         jobs = dispatch(request, candidates, clock)
@@ -696,7 +682,7 @@ class Simulation:
         costs = self._wired_ms.setdefault(fnc_node, {})
         here, traced = self.position(fnc_node), self._traced
         if traced:
-            self._flush_held(clock, self._booking.seq)
+            self._flush_held(clock, queue.seq)
         unhandled, past, latest = 0, 0, -math.inf
         for seq, job in enumerate(jobs, first):
             node = job.assignee
@@ -732,9 +718,8 @@ class Simulation:
         self._past_horizon += unhandled + past
         if len(booked) == len(jobs):  # every reply in time
             last_handled, last_seq, _ = max(booked)
-            queue.schedule_reserved(last_handled, last_seq, fnc_node, _JobsHandled(request_id))
-        if booked:
-            window.last_arrival = latest
+            queue.schedule_reserved(last_handled, last_seq, fnc_node,
+                                    _JobsHandled(request_id, latest))
         queue.schedule(deadline, fnc_node, _Deadline(request_id))
 
     def _score(self, window: _FanOutWindow) -> list[JobResult]:
@@ -757,10 +742,8 @@ class Simulation:
         return score_piles(window.request, offers, self.config.weights)
 
     def _jobs_handled(self, fnc_node: NodeId, done: _JobsHandled):
-        """The last job is handled: score every reply, and decide at the latest arrival."""
-        window = self._windows[done.request_id]
-        window.results = self._score(window)
-        self.queue.schedule(window.last_arrival, fnc_node, _Deadline(done.request_id))
+        """The last job is handled: decide at the latest reply's arrival."""
+        self.queue.schedule(done.last_arrival, fnc_node, _Deadline(done.request_id))
 
     def _result_into_window(self, result: JobResult, arrival: SimTime):
         """File ``result`` with its terminal's window the moment the pile sends it.
@@ -784,18 +767,16 @@ class Simulation:
         window = self._windows.pop(request_id, None)
         if window is None:
             return  # decided at its last reply's arrival
-        if not window.results:  # some reply misses the deadline
-            window.results = self._score(window)
-        if window.results:
-            self._decide(fnc_node, window)
+        results = self._score(window)
+        if results:
+            self._decide(fnc_node, window.request, results)
         else:
             self.send_wireless(fnc_node, window.request.requester,
                                FailureNotice(request_id, "aggregation-timeout"), request_id)
 
-    def _decide(self, fnc_node: NodeId, window: _FanOutWindow):
-        request = window.request
-        self._tally.aggregated += len(window.results)
-        decision = aggregate(request.request_id, window.results, self.queue.clock)
+    def _decide(self, fnc_node: NodeId, request: ServiceRequest, results: list[JobResult]):
+        self._tally.aggregated += len(results)
+        decision = aggregate(request.request_id, results, self.queue.clock)
         self.send_wireless(fnc_node, request.requester, decision, request.request_id)
 
     def _decision_at_terminal(self, node: NodeId, decision: Decision):
@@ -814,7 +795,8 @@ class Simulation:
         host = self.piles[pile_node]
         if host.pile.queue_len >= host.capacity:
             return
-        self.queue.schedule_in(self.config.compute_ms, pile_node, _ComputeDone(request))
+        self.queue.schedule(self.queue.clock + self.config.compute_ms, pile_node,
+                            _ComputeDone(request))
 
     def _reply_to_terminal(self, pile_node: NodeId, done: _ComputeDone):
         request, pile = done.request, self.piles[pile_node].pile
@@ -980,15 +962,6 @@ class Simulation:
             ObjectStateMsg: _object_state_at_target,
             MigrationAck: _migration_ack_at_source,
         },
-    }
-
-    # Per architecture, the config field that names how long after arrival
-    # a queued payload is handled.  A broadcast query is checked against
-    # pile capacity on arrival, so the traditional table is empty; a job's
-    # handling is booked at dispatch.
-    _SERVICE_MS = {
-        "traditional": {},
-        "coordinated": {ServiceRequest: "fnc_service_ms"},
     }
 
     # ------------------------------------------------------------ results

@@ -109,15 +109,13 @@ class Registry:
 
     Entries are replaced only by strictly newer reports; an identical
     re-report is a no-op and an older one raises StaleReport.  ``statuses``
-    is a read-only live view of them.  Range queries read a spatial index,
-    set on the first query after a node joins or moves: ``shared`` if it
-    holds exactly the registered nodes at their locations, else a new one.
+    is a read-only live view of them.  Range queries read a spatial index
+    of them, built on the first query after a node joins or moves.
     """
 
-    def __init__(self, shared: PileIndex | None = None):
+    def __init__(self):
         self._entries: dict[NodeId, NodeStatus] = {}
         self.statuses: Mapping[NodeId, NodeStatus] = MappingProxyType(self._entries)
-        self._shared = shared
         self._index: PileIndex | None = None
 
     def __len__(self) -> int:
@@ -160,9 +158,7 @@ def nodes_within(
     if range_m < 0:
         raise ValueError("range_m must be >= 0")
     if registry._index is None:
-        shared = registry._shared
-        registry._index = (shared if shared is not None and shared.holds(registry._entries)
-                           else PileIndex(registry._entries.values()))
+        registry._index = PileIndex(registry._entries.values())
     return [node for _, node in registry._index.within(center, range_m)
             if node.layer == layer]
 
@@ -191,11 +187,6 @@ class PileIndex:
         self._locations = [r.location for r in piles]
         # x + iy: one subtraction and one abs give every distance.
         self._xy = np.array([complex(p.x, p.y) for p in self._locations], dtype=complex)
-
-    def holds(self, statuses: Mapping[NodeId, NodeStatus]) -> bool:
-        """Whether this index is of exactly the nodes of ``statuses``, at their locations."""
-        return dict(zip(self._nodes, self._locations)) == {
-            node: status.location for node, status in statuses.items()}
 
     def _distances(self, point: Point2D) -> np.ndarray:
         return np.abs(self._xy - complex(point.x, point.y))

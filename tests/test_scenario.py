@@ -725,11 +725,11 @@ def test_every_score_a_decision_reads_is_the_one_pile_score_at_the_handled_load(
                          sim_duration_ms=6000.0, n_fog=2, wireless_air_ms=8.0)
     assert cfg.w_dist > 0 and cfg.w_wait > 0
     assert cfg.sim_duration_ms < 3_600_000.0 / cfg.service_rate_per_hour  # no drain
-    read = []
+    decisions = []
     aggregate = scenario.aggregate
 
     def spy(request_id, results, clock):
-        read.extend(results)
+        decisions.append((results, clock))
         return aggregate(request_id, results, clock)
 
     monkeypatch.setattr(scenario, "aggregate", spy)
@@ -759,15 +759,25 @@ def test_every_score_a_decision_reads_is_the_one_pile_score_at_the_handled_load(
         assert instant not in charged[node]
         return bisect.bisect_left(charged[node], instant)
 
-    moved = 0
-    for result in read:
-        job = jobs[result.request_id, result.responder]
-        load = load_at(result.responder, job.arrives_at + cfg.compute_ms)
-        at_load = replace(sim.piles[result.responder].pile, queue_len=load)
-        expected = evaluate_charging_request(requests[result.request_id], at_load, cfg.weights)
-        assert repr(result) == repr(expected)
-        moved += load_at(result.responder, job.sent_at) != load
-    assert len(read) > 1000 and moved > 10
+    read = moved = moved_after_handling = 0
+    for results, decided_at in decisions:
+        last_handled = -math.inf
+        for result in results:
+            job = jobs[result.request_id, result.responder]
+            handled_at = job.arrives_at + cfg.compute_ms
+            load = load_at(result.responder, handled_at)
+            at_load = replace(sim.piles[result.responder].pile, queue_len=load)
+            expected = evaluate_charging_request(requests[result.request_id], at_load, cfg.weights)
+            assert repr(result) == repr(expected)
+            moved += load_at(result.responder, job.sent_at) != load
+            last_handled = max(last_handled, handled_at)
+        read += len(results)
+        # The FNC scores when it decides, so a load that changed after the
+        # window's last job was handled must be read back from the log.
+        moved_after_handling += any(
+            load_at(r.responder, decided_at) != load_at(r.responder, last_handled)
+            for r in results)
+    assert read > 1000 and moved > 10 and moved_after_handling > 10
 
 
 class _Stray:
@@ -778,7 +788,7 @@ class _Stray:
     ("pile load", lambda sim: setattr(next(iter(sim.piles.values())).pile, "queue_len", 99)),
     ("flows", lambda sim: next(iter(sim.piles.values()))._reservations.add("flow-x")),
     ("windows", lambda sim: sim._windows.update(
-        stale=scenario._ReplyWindow(None, None, sim.horizon))),
+        stale=scenario._ReplyWindow(None, sim.horizon))),
     ("messages", lambda sim: setattr(sim, "messages_total", sim.messages_total + 1)),
     pytest.param("messages", lambda sim: sim.send_wired(
         next(iter(sim.piles)), next(iter(sim.registries)), _Stray()), id="messages-stray-send"),

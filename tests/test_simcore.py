@@ -69,8 +69,13 @@ def test_run_until_processes_follow_ups():
 
 def test_run_until_clock_tracks_last_event():
     q = EventQueue()
+    assert q.seq == -1  # no event handled yet
+    reserved = q.reserve()
     q.schedule(4.0, "a", "x")
-    q.run_until(10.0, lambda ev: None)
+    q.schedule_reserved(6.0, reserved, "a", "y")
+    seen = []
+    q.run_until(10.0, lambda ev: seen.append((ev.seq, q.seq, q.clock)))
+    assert seen == [(1, 1, 4.0), (reserved, reserved, 6.0)]
     assert q.clock == 10.0
 
     q2 = EventQueue()

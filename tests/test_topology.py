@@ -205,33 +205,6 @@ def test_nodes_within_sees_nodes_that_join_or_move_after_a_query():
     assert nodes_within(reg, center, 50.0, Layer.FOG) == [fog_id(0)]
 
 
-def test_a_shared_index_answers_only_while_it_holds_the_registry():
-    rng = random.Random(29)
-    placed = [(fog_id(i), rng.uniform(-500, 500), rng.uniform(-500, 500)) for i in range(30)]
-    # The shared index lists the piles in another order than they report.
-    shared = PileIndex(NodeRecord(node, Point2D(x, y)) for node, x, y in reversed(placed))
-    center = Point2D(20.0, -10.0)
-
-    def query(reg):
-        return nodes_within(reg, center, 400.0, Layer.FOG)
-
-    reg, alone = Registry(shared), Registry()
-    for node, x, y in placed[:20]:
-        report_status(reg, status(node, x, y, 0.0))
-        report_status(alone, status(node, x, y, 0.0))
-    assert query(reg) == query(alone)  # ten piles not yet reported stay out
-    for node, x, y in placed[20:]:
-        report_status(reg, status(node, x, y, 0.0))
-        report_status(alone, status(node, x, y, 0.0))
-    assert query(reg) == query(alone)
-    assert reg._index is shared
-    moved = placed[0][0]
-    report_status(reg, status(moved, center.x, center.y, 1.0))
-    report_status(alone, status(moved, center.x, center.y, 1.0))
-    assert query(reg) == query(alone)
-    assert query(reg)[0] == moved
-
-
 def test_point_is_a_tuple_with_the_dataclass_face():
     p = Point2D(3.0, -4.0)
     assert repr(p) == "Point2D(x=3.0, y=-4.0)"

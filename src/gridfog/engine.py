@@ -11,6 +11,7 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -31,6 +32,11 @@ class SimEvent(NamedTuple):
     seq: int
     target: Any
     payload: Any
+
+
+# ``_new_event((fire_at, seq, target, payload))`` equals ``SimEvent(...)``, but skips
+# the Python-level ``__new__`` that ``NamedTuple`` writes.
+_new_event = partial(tuple.__new__, SimEvent)
 
 
 class EventQueue:
@@ -60,7 +66,7 @@ class EventQueue:
             raise SchedulingInPast(
                 f"fire_at={fire_at} is before clock={self.clock}"
             )
-        event = SimEvent(fire_at, self._next_seq, target, payload)
+        event = _new_event((fire_at, self._next_seq, target, payload))
         self._next_seq += 1
         heapq.heappush(self._heap, event)
         return event
@@ -85,7 +91,7 @@ class EventQueue:
             raise SchedulingInPast(
                 f"fire_at={fire_at} is before clock={self.clock}"
             )
-        event = SimEvent(fire_at, seq, target, payload)
+        event = _new_event((fire_at, seq, target, payload))
         heapq.heappush(self._heap, event)
         return event
 
@@ -102,9 +108,9 @@ class EventQueue:
         it sits at ``deadline`` (or stays put if the deadline already
         passed).
         """
-        processed = 0
-        while self._heap and self._heap[0].fire_at <= deadline:
-            event = heapq.heappop(self._heap)
+        heap, pop, processed = self._heap, heapq.heappop, 0
+        while heap and heap[0].fire_at <= deadline:
+            event = pop(heap)
             self.clock = event.fire_at
             self.seq = event.seq
             handler(event)

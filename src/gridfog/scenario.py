@@ -17,6 +17,8 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import NamedTuple
 
 from .coordinator import aggregate, dispatch, filter_candidates
 from .engine import EventQueue, LatencyModel, RngStream, SimTime, link_latency
@@ -272,9 +274,11 @@ class _DrainTick:
     period_ms: float
 
 
-@dataclass(frozen=True)
-class _ComputeDone:
+class _ComputeDone(NamedTuple):
     request: ServiceRequest
+
+
+_new_compute_done = partial(tuple.__new__, _ComputeDone)
 
 
 @dataclass(frozen=True)
@@ -499,6 +503,13 @@ class Simulation:
         return term.here
 
     def send_wireless(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
+        """Send ``payload`` over the shared channel; returns its arrival at ``dst``.
+
+        ``_broadcast`` and ``_reply_to_terminal`` do this arithmetic inline on
+        the hot paths.  They take channel slots by ``acquire`` and add the same
+        terms in the same order, and ``PileIndex.within``'s distance is
+        ``hypot`` of the same coordinate differences up to sign, so the bits agree.
+        """
         departure = self.channel.acquire(self.queue.clock)
         host = self.piles.get(dst)
         load = 0.0 if host is None else float(host.pile.queue_len)
@@ -525,16 +536,13 @@ class Simulation:
     def _deliver(self, arrival, medium, src, dst, payload, request_id, load):
         """Hand ``payload`` to ``dst`` once its receiver's service time has passed.
 
-        A reply is filed with its request's window now, as its arrival is
-        fixed at send.  A status report stamped before now is a repeat that its
-        FNC holds, or will once an earlier copy arrives, so it changes
-        nothing and is only counted.  Any other payload is queued.  The
-        trace records the true arrival either way.
+        A status report stamped before now is a repeat that its FNC holds,
+        or will once an earlier copy arrives, so it changes nothing and is
+        only counted.  Any other payload is queued.  The trace records the
+        true arrival either way.
         """
         kind = type(payload)
-        if kind is JobResult:
-            self._result_into_window(payload, arrival)
-        elif kind is StatusReportMsg and payload.status.reported_at < self.queue.clock:
+        if kind is StatusReportMsg and payload.status.reported_at < self.queue.clock:
             if arrival > self.horizon:
                 self._past_horizon += 1
         elif kind is ServiceRequest and dst.layer == Layer.FNC:
@@ -641,9 +649,32 @@ class Simulation:
         else:
             window = _ReplyWindow(request, self.queue.clock + cfg.aggregation_timeout_ms)
             self._windows[request.request_id] = window
-            for _, pile in self.pile_index.within(request.origin, cfg.query_range_m):
-                self.send_wireless(node, pile, request, request.request_id)
+            self._broadcast(request)
             self.queue.schedule(window.deadline, node, _Deadline(request.request_id))
+
+    def _broadcast(self, request: ServiceRequest):
+        """Send ``request`` from its terminal to every pile in range, as ``send_wireless`` would.
+
+        ``request.origin`` is where the terminal is now.  The piles take
+        channel slots one after another, nearest first, and each arrival
+        adds ``link_latency``'s terms in its order, with the distance that
+        ``PileIndex.within`` gives.  Sends are counted once for the request.
+        """
+        queue, channel, piles, model = self.queue, self.channel, self.piles, self.wireless
+        node, request_id = request.requester, request.request_id
+        hits = self.pile_index.within(request.origin, request.query_range_m)
+        clock, air, acquire = queue.clock, channel.air_ms, channel.acquire
+        base, per_m, proc = model.base_ms, model.prop_ms_per_m, model.proc_ms_per_unit
+        schedule, traced = queue.schedule, self._traced
+        for distance, pile in hits:
+            load = float(piles[pile].pile.queue_len)
+            arrival = acquire(clock) + air + ((base + per_m * distance) + proc * load)
+            schedule(arrival, pile, request)
+            if traced:
+                self.trace.append(SendTrace(clock, arrival, "wireless", node, pile, distance,
+                                            load, "ServiceRequest", request_id))
+        self.messages_total += len(hits)
+        self._outcome_by_id[request_id].messages_used += len(hits)
 
     # ------------------------------------------------------- coordinated
     def _fnc_of(self, request: ServiceRequest) -> NodeId:
@@ -745,23 +776,6 @@ class Simulation:
         """The last job is handled: decide at the latest reply's arrival."""
         self.queue.schedule(done.last_arrival, fnc_node, _Deadline(done.request_id))
 
-    def _result_into_window(self, result: JobResult, arrival: SimTime):
-        """File ``result`` with its terminal's window the moment the pile sends it.
-
-        A terminal has no receiver load, so a reply's arrival is fixed at
-        send.  One due at or after the deadline misses the window, as the
-        deadline event, queued before any reply was sent, fires first on a
-        tie.  A reply due past the horizon counts in ``events_left``.
-        """
-        if arrival > self.horizon:
-            self._past_horizon += 1
-        window = self._windows.get(result.request_id)
-        if window is None or arrival >= window.deadline:
-            return
-        window.results.append(result)
-        if window.last_arrival is None or arrival > window.last_arrival:
-            window.last_arrival = arrival
-
     def _agg_timeout(self, fnc_node: NodeId, deadline: _Deadline):
         request_id = deadline.request_id
         window = self._windows.pop(request_id, None)
@@ -796,12 +810,35 @@ class Simulation:
         if host.pile.queue_len >= host.capacity:
             return
         self.queue.schedule(self.queue.clock + self.config.compute_ms, pile_node,
-                            _ComputeDone(request))
+                            _new_compute_done((request,)))
 
     def _reply_to_terminal(self, pile_node: NodeId, done: _ComputeDone):
+        """Score the request and file the reply with its terminal's window as it is sent.
+
+        Its arrival is ``send_wireless``'s, fixed at send, as a terminal has
+        no receiver load.  One due at or after the deadline misses the
+        window, as the deadline event, queued before any reply was sent,
+        fires first on a tie.  A reply due past the horizon counts in
+        ``events_left``.
+        """
         request, pile = done.request, self.piles[pile_node].pile
         result = evaluate_charging_request(request, pile, self.config.weights)
-        self.send_wireless(pile_node, request.requester, result, request.request_id)
+        requester, request_id = request.requester, request.request_id
+        here, there, clock = pile.location, self.position(requester), self.queue.clock
+        arrival = (self.channel.acquire(clock) + self.channel.air_ms
+                   + link_latency(self.wireless, here, there, 0.0))
+        if arrival > self.horizon:
+            self._past_horizon += 1
+        window = self._windows.get(request_id)
+        if window is not None and arrival < window.deadline:
+            window.results.append(result)
+            if window.last_arrival is None or arrival > window.last_arrival:
+                window.last_arrival = arrival
+        self.messages_total += 1
+        self._outcome_by_id[request_id].messages_used += 1
+        if self._traced:
+            self.trace.append(SendTrace(clock, arrival, "wireless", pile_node, requester,
+                                        here.distance_to(there), 0.0, "JobResult", request_id))
 
     def _window_close(self, node: NodeId, deadline: _Deadline):
         request_id = deadline.request_id

@@ -73,6 +73,11 @@ CONFIGS = {
     "coordinated-load-moves": dict(
         architecture="coordinated", request_rate=2000.0, sim_duration_ms=6000.0, n_fog=2,
         wireless_air_ms=8.0),
+    # Piles full after one charge drop most broadcasts, and with no airtime
+    # and no propagation a request reaches every pile in range at once.
+    "traditional-full-piles-instant": dict(
+        architecture="traditional", capacity=1, wireless_air_ms=0.0,
+        wireless_prop_ms_per_m=0.0),
 }
 
 GOLDEN = {
@@ -88,6 +93,7 @@ GOLDEN = {
     "coordinated-slow-backhaul": "a32e43415c70bb3aa77890a714c61768dce2a3cfe6be7e8b682781e8b996ca88",
     "traditional-fast-walkers": "cc1540c3c6261d18dc0059da8744c9f87d705596bef20e607f4c97b122e88c7f",
     "coordinated-load-moves": "6e2e93d0cbb41c2233709269245e4f0be9e8d33dcb1a7a0ec2bf60db0b3cf91e",
+    "traditional-full-piles-instant": "0f293d2a075471f3ec4705bae646309dd3755172fb94d851716c03de4ce26c37",
 }
 
 

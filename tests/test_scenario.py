@@ -24,17 +24,21 @@ def small_config(**overrides):
 
 
 def run_noting_origins(config, **kwargs):
-    """Run ``config``; also return each request's origin, as the run sent it."""
+    """Run ``config``; also return each request's origin, as the run sent it.
+
+    Both architectures queue every request they send, to its FNC or to each
+    pile in range, so the origin is noted where the queue takes it.
+    """
     sim = Simulation(config, **kwargs)
     origins = {}
-    send = sim.send_wireless
+    schedule = sim.queue.schedule
 
-    def spy(src, dst, payload, request_id=None):
+    def spy(fire_at, target, payload):
         if isinstance(payload, ServiceRequest):
             origins[payload.request_id] = payload.origin
-        return send(src, dst, payload, request_id)
+        return schedule(fire_at, target, payload)
 
-    sim.send_wireless = spy
+    sim.queue.schedule = spy
     return sim.run(), origins
 
 
@@ -363,6 +367,57 @@ def test_wireless_sends_use_the_terminal_position_at_send_time(architecture):
         assert t.distance_m == origin.distance_to(sim.positions[t.dst])
         moved += origin != placed[t.src]
     assert moved
+
+
+def broadcast_one_way(sim, terminals, one_loop):
+    """Broadcast one request from each of ``terminals``, with ``_broadcast`` or per pile.
+
+    Returns the queued requests, the channel's ``free_at`` and the trace rows,
+    each as its repr, which spells every float to the bit, then
+    ``messages_total`` and each probe's ``messages_used``.
+    """
+    clock, sent = sim.queue.clock, []
+    for seq, node in enumerate(terminals):
+        request = ServiceRequest(f"{node}/probe{seq}", node, sim.position(node),
+                                 "charging-query", sim.config.query_range_m, clock)
+        sim._outcome_by_id[request.request_id] = scenario.RequestOutcome(
+            request.request_id, node, clock)
+        sent.append(request)
+        if one_loop:
+            sim._broadcast(request)
+        else:
+            for _, pile in sim.pile_index.within(request.origin, request.query_range_m):
+                sim.send_wireless(node, pile, request, request.request_id)
+    events = sorted(e for e in sim.queue if isinstance(e.payload, ServiceRequest))
+    used = [sim._outcome_by_id[r.request_id].messages_used for r in sent]
+    return ([repr(e) for e in events], repr(sim.channel.free_at), [repr(t) for t in sim.trace],
+            sim.messages_total, used)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    # No airtime and no propagation: equally loaded piles' copies arrive at once.
+    dict(wireless_air_ms=0.0, wireless_prop_ms_per_m=0.0),
+])
+def test_broadcast_loop_sends_as_send_wireless_does(overrides):
+    config = small_config(architecture="traditional", n_fog=40, query_range_m=1500.0,
+                          **overrides)
+    got = {}
+    for one_loop in (True, False):
+        sim = Simulation(config, trace=[])
+        sim.queue.run_until(7_300.0, sim._handle)  # terminals have walked
+        assert sim._steps > 0
+        for host in sim.piles.values():
+            host.pile.queue_len = host.node.ordinal % 3
+        sim.channel.free_at = sim.queue.clock + 37.5  # a backlog on the channel
+        got[one_loop] = broadcast_one_way(sim, list(sim.terminals)[:5], one_loop)
+    assert got[True] == got[False]
+    sent = [t for t in sim.trace if "/probe" in t.request_id]
+    assert len(sent) > 50
+    assert {t.receiver_load for t in sent} == {0.0, 1.0, 2.0}
+    assert sent[0].arrives_at > sim.queue.clock + 37.5  # departed at the backlog's end
+    arrivals = [t.arrives_at for t in sent]
+    assert (len(set(arrivals)) < len(arrivals)) == (config.wireless_air_ms == 0.0)
 
 
 def test_every_message_is_traced():

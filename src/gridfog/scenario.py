@@ -219,7 +219,6 @@ class _Terminal:
     serving_pile: NodeId | None = None
     flow_id: str | None = None
     ewma_ms: float | None = None
-    migration_active: bool = False
 
 
 @dataclass
@@ -368,7 +367,10 @@ class Simulation:
         self._past_horizon = 0  # messages and job handlings due past the horizon, not queued
         self._tally = _Tally()
         self._outcome_by_id: dict[str, RequestOutcome] = {}
-        self._active_migrations: dict[str, tuple[MigrationSourceSession, NodeId, float]] = {}
+        # Each migrating flow's session, terminal and trigger latency; ``None``
+        # until its terminal's complaint reaches the serving pile.
+        self._active_migrations: dict[
+            str, tuple[MigrationSourceSession, NodeId, float] | None] = {}
         # One reply window per open request, whichever node decides it.
         self._windows: dict[str, _ReplyWindow] = {}
         # Each backhaul pair's latency at no receiver load, keyed by the lesser
@@ -689,12 +691,13 @@ class Simulation:
         receiver load, so the reply's arrival is fixed at dispatch too.  Both
         are counted and traced at dispatch, the reply's row held until the
         stream reaches the job's handling, whose sequence number the job
-        takes.  A reply due at or after the deadline misses the window, as
-        the deadline event, queued before any reply was sent, fires first on
-        a tie.  When every reply is in time, one event at the last job's
-        handling schedules the decision for the latest arrival; otherwise
-        the deadline decides.  A job handled past the horizon sends no
-        reply; it and a reply due past the horizon count in ``events_left``.
+        takes.  When every reply is in time, one event at the last job's
+        handling schedules the decision for the latest arrival.  Otherwise
+        the deadline decides, and a reply due at or after it misses the
+        window, as the deadline event, queued before any reply was sent,
+        fires first on a tie.  A job handled past the horizon sends no
+        reply; it, a reply and an unqueued deadline due past the horizon
+        count in ``events_left``.
         """
         try:
             candidates = filter_candidates(self.registries[fnc_node], request)
@@ -746,12 +749,14 @@ class Simulation:
         self.messages_total += len(jobs) + sent
         self._outcome_by_id[request_id].messages_used += len(jobs) + sent
         self._tally.replies += sent
-        self._past_horizon += unhandled + past
         if len(booked) == len(jobs):  # every reply in time
             last_handled, last_seq, _ = max(booked)
             queue.schedule_reserved(last_handled, last_seq, fnc_node,
                                     _JobsHandled(request_id, latest))
-        queue.schedule(deadline, fnc_node, _Deadline(request_id))
+            past += deadline > horizon
+        else:
+            queue.schedule(deadline, fnc_node, _Deadline(request_id))
+        self._past_horizon += unhandled + past
 
     def _score(self, window: _FanOutWindow) -> list[JobResult]:
         """Score each booked job against its pile's load when the pile handled it.
@@ -778,20 +783,14 @@ class Simulation:
 
     def _agg_timeout(self, fnc_node: NodeId, deadline: _Deadline):
         request_id = deadline.request_id
-        window = self._windows.pop(request_id, None)
-        if window is None:
-            return  # decided at its last reply's arrival
+        window = self._windows.pop(request_id)
         results = self._score(window)
         if results:
-            self._decide(fnc_node, window.request, results)
+            self._tally.aggregated += len(results)
+            reply = aggregate(request_id, results, self.queue.clock)
         else:
-            self.send_wireless(fnc_node, window.request.requester,
-                               FailureNotice(request_id, "aggregation-timeout"), request_id)
-
-    def _decide(self, fnc_node: NodeId, request: ServiceRequest, results: list[JobResult]):
-        self._tally.aggregated += len(results)
-        decision = aggregate(request.request_id, results, self.queue.clock)
-        self.send_wireless(fnc_node, request.requester, decision, request.request_id)
+            reply = FailureNotice(request_id, "aggregation-timeout")
+        self.send_wireless(fnc_node, window.request.requester, reply, request_id)
 
     def _decision_at_terminal(self, node: NodeId, decision: Decision):
         self._log_load(self.piles[decision.chosen].pile)
@@ -854,7 +853,8 @@ class Simulation:
         """Record ``decision`` as reaching ``node`` at ``at``; complain if it is slow.
 
         Only a terminal with a flow, which a traditional one never has,
-        tracks its latency and may ask its serving pile to migrate.
+        tracks its latency and may ask its serving pile to migrate; the
+        flow then counts as migrating until the verdict.
         """
         outcome = self._outcome_by_id[decision.request_id]
         outcome.decided_at = at
@@ -871,12 +871,8 @@ class Simulation:
             if term.ewma_ms is None
             else alpha * outcome.latency_ms + (1 - alpha) * term.ewma_ms
         )
-        if (
-            term.ewma_ms > cfg.t_upper_ms
-            and not term.migration_active
-            and term.serving_pile is not None
-        ):
-            term.migration_active = True
+        if term.ewma_ms > cfg.t_upper_ms and term.flow_id not in self._active_migrations:
+            self._active_migrations[term.flow_id] = None
             complaint = LatencyComplaint(term.flow_id, node, self.position(node), term.ewma_ms)
             self.send_wireless(node, term.serving_pile, complaint)
 
@@ -892,10 +888,6 @@ class Simulation:
 
     def _complaint_at_pile(self, pile_node: NodeId, complaint: LatencyComplaint):
         host = self.piles[pile_node]
-        term = self.terminals[complaint.terminal]
-        if not host.has_flow(complaint.flow_id) or complaint.flow_id in self._active_migrations:
-            term.migration_active = False
-            return
         cfg = self.config
         policy = MigrationPolicy(
             t_upper=cfg.t_upper_ms,
@@ -933,9 +925,8 @@ class Simulation:
                     warned=outcome.warned,
                 )
             )
-            term = self.terminals[terminal]
-            term.migration_active = False
             if outcome.kind == "migrated":
+                term = self.terminals[terminal]
                 term.serving_pile = outcome.target
                 term.ewma_ms = None
             del self._active_migrations[flow_id]
@@ -945,10 +936,7 @@ class Simulation:
         self.send_wired(target, msg.source, MigrationResponse(msg.flow_id, target, accept))
 
     def _migration_response_at_source(self, source: NodeId, msg: MigrationResponse):
-        entry = self._active_migrations.get(msg.flow_id)
-        if entry is None:
-            return
-        session = entry[0]
+        session = self._active_migrations[msg.flow_id][0]
         self._run_migration_step(msg.flow_id, session.on_response(msg.accept))
 
     def _object_state_at_target(self, target: NodeId, msg: ObjectStateMsg):
@@ -964,10 +952,7 @@ class Simulation:
         self.send_wired(target, msg.state.origin, ack)
 
     def _migration_ack_at_source(self, source: NodeId, msg: MigrationAck):
-        entry = self._active_migrations.get(msg.flow_id)
-        if entry is None:
-            return
-        session = entry[0]
+        session = self._active_migrations[msg.flow_id][0]
         self._run_migration_step(
             msg.flow_id, session.on_ack(msg.ok, msg.bounced_state, msg.bounced_pending)
         )
@@ -1060,7 +1045,7 @@ class Simulation:
             if resident.get(flow_id) != [term.serving_pile]:
                 broken("flows", f"{flow_id} resident at {resident.get(flow_id)}, "
                                 f"served by {term.serving_pile}")
-            if term.migration_active or flow_id in self._active_migrations:
+            if flow_id in self._active_migrations:
                 broken("flows", f"{flow_id} migrating with nothing due past the horizon")
 
         expected = tally.base_load + decided - tally.drained

@@ -114,9 +114,12 @@ def test_non_finite_value_is_invalid(tmp_path, line):
     )),
     ["t_upper_ms = 0"], ["w_dist = -1"], ["w_wait = -1"], ["w_dist = 0", "w_wait = 0"],
     ["mobility_step_ms = 0"], ["report_period_ms = 0"],
+    ["architecture = mesh"], ["query_range_m = 0"], ["request_rate = -1"],
+    ["arena_diameter_m = 0"], ["capacity = 0"], ["ewma_alpha = 0"], ["ewma_alpha = 1.5"],
+    ["service_rate_per_hour = 0"], ["aggregation_timeout_ms = 0"],
 ])
 def test_bad_sign_is_invalid_at_its_line(tmp_path, lines):
-    # Each of these used to load and only fail mid-run, or never.
+    # Each must fail at load, at its own line, not mid-run or never.
     path = tmp_path / "bad.cfg"
     path.write_text("n_fnc = 2\n" + "\n".join(lines) + "\n")
     with pytest.raises(InvalidValue) as err:
@@ -523,6 +526,14 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     code = main(["run", "--config", str(cfg)])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_cli_run_into_a_missing_directory_is_one_io_error(tmp_path, capsys):
+    code = main(["run", "--out", str(tmp_path / "missing" / "m.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("io error: ")
 
 
 @pytest.mark.parametrize("reps", ["0", "-3"])

@@ -234,17 +234,19 @@ def test_lone_pile_coordinated_takes_four_messages_per_request():
 
 
 def test_no_pile_in_range_leaves_requests_unserved():
-    trad = run_scenario(small_config(architecture="traditional",
-                                     query_range_m=1.0))
-    assert trad.outcomes
-    assert all(not o.completed for o in trad.outcomes)
-    assert all(o.failure == "request-timed-out" for o in trad.outcomes)
+    # With no pile at all, no coordinated terminal gets a flow either.
+    for no_pile in (dict(query_range_m=1.0), dict(n_fog=0)):
+        trad = run_scenario(small_config(architecture="traditional", **no_pile))
+        assert trad.outcomes
+        assert all(not o.completed for o in trad.outcomes)
+        assert all(o.failure == "request-timed-out" for o in trad.outcomes)
+        trad._check_conservation()
 
-    coord = run_scenario(small_config(architecture="coordinated",
-                                      query_range_m=1.0))
-    assert coord.outcomes
-    assert all(not o.completed for o in coord.outcomes)
-    assert all(o.failure == "no-eligible-nodes" for o in coord.outcomes)
+        coord = run_scenario(small_config(architecture="coordinated", **no_pile))
+        assert coord.outcomes
+        assert all(not o.completed for o in coord.outcomes)
+        assert all(o.failure == "no-eligible-nodes" for o in coord.outcomes)
+        coord._check_conservation()
 
 
 def test_chosen_pile_is_the_distance_argmin_when_wait_weight_is_zero():
@@ -839,6 +841,15 @@ class _Stray:
     """A payload that no architecture routes."""
 
 
+def _first_flow(sim):
+    return next(flow for host in sim.piles.values() for flow in host.flows.values())
+
+
+def _serve_elsewhere(sim):
+    term = next(t for t in sim.terminals.values() if t.flow_id is not None)
+    term.serving_pile = next(node for node in sim.piles if node != term.serving_pile)
+
+
 @pytest.mark.parametrize("law, tamper", [
     ("pile load", lambda sim: setattr(next(iter(sim.piles.values())).pile, "queue_len", 99)),
     ("flows", lambda sim: next(iter(sim.piles.values()))._reservations.add("flow-x")),
@@ -849,12 +860,28 @@ class _Stray:
         next(iter(sim.piles)), next(iter(sim.registries)), _Stray()), id="messages-stray-send"),
     ("outcomes", lambda sim: setattr(sim.outcomes[0], "failure", None)
      or setattr(sim.outcomes[0], "decided_at", None)),
+    pytest.param(r"outcomes: \S+ decided and failed \(lost\)", lambda sim: setattr(
+        next(o for o in sim.outcomes if o.completed), "failure", "lost"),
+        id="outcomes-decided-and-failed"),
+    pytest.param(r"messages: FNC decisions read \d+ replies, but piles sent \d+",
+                 lambda sim: setattr(sim._tally, "aggregated", sim._tally.replies + 1),
+                 id="messages-replies-overread"),
+    pytest.param(r"flows: \S+ left frozen at ",
+                 lambda sim: setattr(_first_flow(sim), "frozen", True), id="flows-frozen"),
+    pytest.param(r"flows: \S+ resident at \[.+\], served by ", _serve_elsewhere,
+                 id="flows-served-elsewhere"),
+    pytest.param(r"flows: \S+ migrating with nothing due past the horizon$",
+                 lambda sim: sim._active_migrations.update(
+                     {next(iter(sim.terminals.values())).flow_id: None}),
+                 id="flows-left-migrating"),
 ])
 def test_conservation_check_names_the_broken_law(law, tamper):
+    # ``law`` names the law, optionally followed by a pattern of the detail.
+    name, _, detail = law.partition(": ")
     sim = run_scenario(small_config(architecture="coordinated"))
     sim._check_conservation()
     tamper(sim)
-    with pytest.raises(InvariantViolation, match=f"^{law}: "):
+    with pytest.raises(InvariantViolation, match=f"^{name}: {detail}"):
         sim._check_conservation()
 
 
@@ -897,7 +924,7 @@ def test_tiny_latency_bound_forces_migrations():
         assert audit.attempts >= 1
         assert audit.trigger_latency_ms > 1.0
     for term in sim.terminals.values():
-        assert not term.migration_active
+        assert term.flow_id not in sim._active_migrations
     last_target = {}
     for audit in sim.audits:
         if audit.outcome == "migrated":

@@ -1,18 +1,16 @@
-"""FNC request handling: candidate filtering, dispatch, result aggregation.
+"""FNC request handling step by step: the reference the simulator's FNC path matches.
 
 The coordinator reads its registry of pile reports, narrows to in-range
-piles with queue headroom (the candidate group, which doubles as the
-migration group V downstream), dispatches one job per candidate, and
-picks the lowest score among the results its reply window gathered.
+piles with queue headroom (the candidate group V), dispatches one job per
+candidate, and picks the lowest score among the results.  ``Simulation``
+does this in one loop at dispatch and one at the decision.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .engine import SimTime
 from .errors import EmptyResultSet, NoEligibleNodes
-from .messages import Decision, JobDispatch, JobResult, ServiceRequest, new_job_dispatch
+from .messages import Decision, JobDispatch, JobResult, ServiceRequest
 from .topology import Layer, NodeId, Registry, nodes_within
 
 
@@ -33,7 +31,7 @@ def dispatch(
     """One JobDispatch per candidate, stamped with the dispatch time."""
     if not candidates:
         raise NoEligibleNodes(request.request_id)
-    return list(map(new_job_dispatch, zip(repeat(request), candidates, repeat(clock))))
+    return [JobDispatch(request, node, clock) for node in candidates]
 
 
 def aggregate(request_id: str, results: list[JobResult], clock: SimTime) -> Decision:

@@ -78,35 +78,39 @@ class PileState:
             raise ValueError("service_rate must be > 0")
 
 
+def offer_score(
+    request: ServiceRequest, pile: PileState, load: int, weights: tuple[float, float]
+) -> float:
+    """Score ``pile`` for ``request`` at queue length ``load``; lower is better.
+
+    w_dist * distance(request origin, pile) + w_wait * load / hourly service
+    rate, the wait in virtual hours.  The weights are taken as valid.
+    """
+    w_dist, w_wait = weights
+    score = w_dist * math.dist(pile.location, request.origin) + w_wait * (load / pile.service_rate)
+    if not math.isfinite(score):
+        raise ValueError("score must be finite")
+    return score
+
+
 def score_piles(
     request: ServiceRequest, offers: list[tuple[PileState, int]], weights: tuple[float, float]
 ) -> list[JobResult]:
-    """Score each ``(pile, queue length)`` offer for one request; lower is better.
-
-    score = w_dist * distance(request origin, pile) + w_wait * expected wait,
-    with the wait term in virtual hours (queue_len / hourly service rate).
-    The weights are taken as valid.
-    """
-    w_dist, w_wait = weights
-    origin, request_id = request.origin, request.request_id
-    results = []
-    for pile, load in offers:
-        score = w_dist * math.dist(pile.location, origin) + w_wait * (load / pile.service_rate)
-        if not math.isfinite(score):
-            raise ValueError("score must be finite")
-        results.append(new_job_result((request_id, pile.node, score)))
-    return results
+    """One JobResult per ``(pile, queue length)`` offer: the FNC decision's reference."""
+    request_id = request.request_id
+    return [new_job_result((request_id, pile.node, offer_score(request, pile, load, weights)))
+            for pile, load in offers]
 
 
 def evaluate_charging_request(
     request: ServiceRequest, pile: PileState, weights: tuple[float, float]
 ) -> JobResult:
-    """Score one pile for one request at its queue length now; see :func:`score_piles`."""
+    """Score one pile for one request at its queue length now."""
     w_dist, w_wait = weights
     if w_dist < 0 or w_wait < 0 or (w_dist == 0 and w_wait == 0):
         raise ValueError("weights must be >= 0 and not both zero")
-    [result] = score_piles(request, [(pile, pile.queue_len)], weights)
-    return result
+    return new_job_result((request.request_id, pile.node,
+                           offer_score(request, pile, pile.queue_len, weights)))
 
 
 class FlowInstance:

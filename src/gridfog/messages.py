@@ -39,16 +39,15 @@ class JobDispatch(NamedTuple):
 
 
 class JobResult(NamedTuple):
-    """One pile's score for one request; ``fognode.score_piles`` makes it."""
+    """One pile's score for one request, as a broadcast reply carries it."""
 
     request_id: str
     responder: NodeId
     score: float
 
 
-# ``new_job_result((request_id, responder, score))`` equals ``JobResult(...)``, and so
-# for dispatches, but skips the Python-level ``__new__`` that ``NamedTuple`` writes.
-new_job_dispatch = partial(tuple.__new__, JobDispatch)
+# ``new_job_result((request_id, responder, score))`` equals ``JobResult(...)``, but
+# skips the Python-level ``__new__`` that ``NamedTuple`` writes.
 new_job_result = partial(tuple.__new__, JobResult)
 
 

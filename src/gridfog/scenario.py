@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
 
+# Unused here, dispatch and filter_candidates stay importable for bench/layers.py.
 from .coordinator import aggregate, dispatch, filter_candidates
 from .engine import EventQueue, LatencyModel, RngStream, SimTime, link_latency
-from .errors import CapacityExceeded, InvariantViolation, NoEligibleNodes
+from .errors import CapacityExceeded, InvariantViolation
 from .fognode import (
     FogNode,
     MigrationAck,
@@ -33,8 +34,8 @@ from .fognode import (
     StartMigration,
     MigrationResponse,
     evaluate_charging_request,
+    offer_score,
     on_migration_end,
-    score_piles,
 )
 from .messages import (
     Decision,
@@ -238,16 +239,15 @@ class _ReplyWindow:
 class _FanOutWindow:
     """An FNC's reply window, opened at ``opened_at`` with one job per candidate.
 
-    The FNC books at dispatch each job whose reply will beat the deadline,
-    as ``(handled_at, seq, pile)``: the instant and sequence number of the
-    event that handling it would have been.  It scores them all at once,
-    when it decides.
+    Dispatch books each job whose reply will beat the deadline as ``(handled_at,
+    seq, pile)``, the instant and sequence number of the event its handling
+    would have been; the decision scores them.
     """
 
     request: ServiceRequest
     deadline: SimTime
     opened_at: SimTime
-    jobs: list[tuple[SimTime, int, PileState]] = field(default_factory=list)
+    jobs: list[tuple[SimTime, int, PileState]]
 
 
 # Internal payloads.  A periodic tick has no target, acts on every node of
@@ -647,7 +647,8 @@ class Simulation:
         self.outcomes.append(outcome)
         self._outcome_by_id[request.request_id] = outcome
         if cfg.architecture == "coordinated":
-            self.send_wireless(node, self._fnc_of(request), request, request.request_id)
+            fnc_node = fnc_id(sector_index(request.origin, cfg.n_fnc))  # of its sector
+            self.send_wireless(node, fnc_node, request, request.request_id)
         else:
             window = _ReplyWindow(request, self.queue.clock + cfg.aggregation_timeout_ms)
             self._windows[request.request_id] = window
@@ -679,47 +680,40 @@ class Simulation:
         self._outcome_by_id[request_id].messages_used += len(hits)
 
     # ------------------------------------------------------- coordinated
-    def _fnc_of(self, request: ServiceRequest) -> NodeId:
-        """The FNC of the sector the request was issued from."""
-        return fnc_id(sector_index(request.origin, self.config.n_fnc))
-
     def _fnc_process(self, fnc_node: NodeId, request: ServiceRequest):
         """Dispatch one job per candidate and book when each is handled, with no event.
 
-        A job arrives after ``send_wired``'s delay, to the bit.  Its pile
-        handles it ``compute_ms`` later and replies at once; the FNC has no
-        receiver load, so the reply's arrival is fixed at dispatch too.  Both
-        are counted and traced at dispatch, the reply's row held until the
-        stream reaches the job's handling, whose sequence number the job
-        takes.  When every reply is in time, one event at the last job's
-        handling schedules the decision for the latest arrival.  Otherwise
-        the deadline decides, and a reply due at or after it misses the
-        window, as the deadline event, queued before any reply was sent,
-        fires first on a tie.  A job handled past the horizon sends no
-        reply; it, a reply and an unqueued deadline due past the horizon
-        count in ``events_left``.
+        One loop over the registry's range hits, nearest first, dispatches to
+        each pile with headroom there, as ``filter_candidates`` would.  A job
+        arrives after ``send_wired``'s delay, to the bit.  Its pile handles it
+        ``compute_ms`` later and replies at once; the FNC has no receiver
+        load, so the reply's arrival is fixed at dispatch too.  Both are
+        counted and traced at dispatch, the reply's row held until the stream
+        reaches the job's handling, whose sequence number the job takes.  When
+        every reply is in time, one event at the last job's handling schedules
+        the decision for the latest arrival.  Otherwise the deadline decides,
+        and a reply due at or after it misses the window, as the deadline
+        event, queued before any reply was sent, fires first on a tie.  A job
+        handled past the horizon sends no reply; it, a reply and an unqueued
+        deadline due past the horizon count in ``events_left``.
         """
-        try:
-            candidates = filter_candidates(self.registries[fnc_node], request)
-        except NoEligibleNodes:
-            self.send_wireless(fnc_node, request.requester, FailureNotice(
-                request.request_id, "no-eligible-nodes"), request.request_id)
-            return
         cfg, queue, horizon, piles = self.config, self.queue, self.horizon, self.piles
         clock, request_id = queue.clock, request.request_id
-        window = _FanOutWindow(request, clock + cfg.aggregation_timeout_ms, clock)
-        self._windows[request_id] = window
-        deadline, booked, compute_ms = window.deadline, window.jobs, cfg.compute_ms
-        jobs = dispatch(request, candidates, clock)
-        first, proc = queue.reserve(len(jobs)), self.backhaul.proc_ms_per_unit
+        registry = self.registries[fnc_node]
+        hits, statuses = registry.within(request.origin, request.query_range_m), registry.statuses
+        deadline, compute_ms = clock + cfg.aggregation_timeout_ms, cfg.compute_ms
+        # One block of sequence numbers in hit order; a full pile's goes unused.
+        first, proc = queue.reserve(len(hits)), self.backhaul.proc_ms_per_unit
         # An FNC's id sorts before every pile's ("fnc" < "fog"), so it keys its links.
         costs = self._wired_ms.setdefault(fnc_node, {})
         here, traced = self.position(fnc_node), self._traced
         if traced:
             self._flush_held(clock, queue.seq)
-        unhandled, past, latest = 0, 0, -math.inf
-        for seq, job in enumerate(jobs, first):
-            node = job.assignee
+        booked, full, unhandled, past, latest = [], 0, 0, 0, -math.inf
+        for seq, (_, node) in enumerate(hits, first):
+            if (reported := statuses[node].resources).queue_len >= reported.capacity:
+                full += 1
+                continue
             fixed = costs.get(node)
             if fixed is None:
                 fixed = costs[node] = link_latency(self.backhaul, here, self.position(node), 0.0)
@@ -730,7 +724,7 @@ class Simulation:
             if traced:
                 distance = here.distance_to(self.position(node))
                 self.trace.append(SendTrace(clock, arrival, "backhaul", fnc_node, node, distance,
-                                            float(load), type(job).__name__, request_id))
+                                            float(load), "JobDispatch", request_id))
             if handled_at > horizon:
                 unhandled += 1
                 continue
@@ -745,11 +739,16 @@ class Simulation:
                 heapq.heappush(self._booking.held, (handled_at, seq, SendTrace(
                     handled_at, reply, "backhaul", node, fnc_node, distance, 0.0,
                     "JobResult", request_id)))
-        sent = len(jobs) - unhandled
-        self.messages_total += len(jobs) + sent
-        self._outcome_by_id[request_id].messages_used += len(jobs) + sent
+        if not (jobs := len(hits) - full):
+            self.send_wireless(fnc_node, request.requester, FailureNotice(
+                request_id, "no-eligible-nodes"), request_id)
+            return
+        self._windows[request_id] = _FanOutWindow(request, deadline, clock, booked)
+        sent = jobs - unhandled
+        self.messages_total += jobs + sent
+        self._outcome_by_id[request_id].messages_used += jobs + sent
         self._tally.replies += sent
-        if len(booked) == len(jobs):  # every reply in time
+        if len(booked) == jobs:  # every reply in time
             last_handled, last_seq, _ = max(booked)
             queue.schedule_reserved(last_handled, last_seq, fnc_node,
                                     _JobsHandled(request_id, latest))
@@ -758,39 +757,36 @@ class Simulation:
             queue.schedule(deadline, fnc_node, _Deadline(request_id))
         self._past_horizon += unhandled + past
 
-    def _score(self, window: _FanOutWindow) -> list[JobResult]:
-        """Score each booked job against its pile's load when the pile handled it.
-
-        That load is the one logged before the pile's first change after the
-        job's ``(handled_at, seq)``, or its load now if none came since.  No
-        job is handled before its window opened, so older changes are skipped.
-        """
-        jobs, changes = window.jobs, self._booking.changes
-        offers = [(pile, pile.queue_len) for _, _, pile in jobs]
-        since = bisect.bisect_left(changes, (window.opened_at,))
-        if since < len(changes):
-            job_of = {pile.node: i for i, (_, _, pile) in enumerate(jobs)}
-            for at, seq, node, before in changes[since:]:
-                i = job_of.get(node)
-                if i is not None and (at, seq) > jobs[i][:2]:
-                    offers[i] = (offers[i][0], before)
-                    del job_of[node]
-        return score_piles(window.request, offers, self.config.weights)
-
     def _jobs_handled(self, fnc_node: NodeId, done: _JobsHandled):
         """The last job is handled: decide at the latest reply's arrival."""
         self.queue.schedule(done.last_arrival, fnc_node, _Deadline(done.request_id))
 
     def _agg_timeout(self, fnc_node: NodeId, deadline: _Deadline):
-        request_id = deadline.request_id
-        window = self._windows.pop(request_id)
-        results = self._score(window)
-        if results:
-            self._tally.aggregated += len(results)
-            reply = aggregate(request_id, results, self.queue.clock)
-        else:
-            reply = FailureNotice(request_id, "aggregation-timeout")
-        self.send_wireless(fnc_node, window.request.requester, reply, request_id)
+        """Decide for the booked job of lowest ``(score, pile)``, as ``aggregate`` would.
+
+        A job is scored at its pile's load when the pile handled it: the load
+        logged before the pile's first change after the job's ``(handled_at,
+        seq)``, else its load now.  No job predates its window, nor do the
+        changes read.
+        """
+        window = self._windows.pop(deadline.request_id)
+        request, jobs, changes = window.request, window.jobs, self._booking.changes
+        later: dict[NodeId, list[tuple[SimTime, int, int]]] = {}  # per pile, in order
+        for at, seq, node, before in changes[bisect.bisect_left(changes, (window.opened_at,)):]:
+            later.setdefault(node, []).append((at, seq, before))
+        score_of, weights, best, chosen = offer_score, self.config.weights, math.inf, None
+        for handled_at, seq, pile in jobs:
+            load, logged = pile.queue_len, later.get(pile.node)
+            if logged:
+                load = next((before for at, changed, before in logged
+                             if (at, changed) > (handled_at, seq)), load)
+            score = score_of(request, pile, load, weights)
+            if score < best or score == best and pile.node < chosen:
+                best, chosen = score, pile.node
+        self._tally.aggregated += len(jobs)
+        reply = (Decision(request.request_id, chosen, self.queue.clock) if jobs
+                 else FailureNotice(request.request_id, "aggregation-timeout"))
+        self.send_wireless(fnc_node, request.requester, reply, request.request_id)
 
     def _decision_at_terminal(self, node: NodeId, decision: Decision):
         self._log_load(self.piles[decision.chosen].pile)
@@ -1043,8 +1039,8 @@ class Simulation:
             if flow_id is None or flow_id in due:
                 continue
             if resident.get(flow_id) != [term.serving_pile]:
-                broken("flows", f"{flow_id} resident at {resident.get(flow_id)}, "
-                                f"served by {term.serving_pile}")
+                where = ", ".join(map(str, resident.get(flow_id, ())))
+                broken("flows", f"{flow_id} resident at [{where}], served by {term.serving_pile}")
             if flow_id in self._active_migrations:
                 broken("flows", f"{flow_id} migrating with nothing due past the horizon")
 

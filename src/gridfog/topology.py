@@ -130,6 +130,12 @@ class Registry:
     def entries(self) -> list[NodeStatus]:
         return sorted(self._entries.values(), key=lambda s: s.node)
 
+    def within(self, center: Point2D, range_m: float) -> list[tuple[float, NodeId]]:
+        """``(distance, node)`` for every node within ``range_m`` of ``center``, sorted."""
+        if self._index is None:
+            self._index = PileIndex(self._entries.values())
+        return self._index.within(center, range_m)
+
 
 def report_status(registry: Registry, status: NodeStatus) -> Registry:
     """Fold one report into the registry (mutating it) and return it."""
@@ -157,10 +163,7 @@ def nodes_within(
     """
     if range_m < 0:
         raise ValueError("range_m must be >= 0")
-    if registry._index is None:
-        registry._index = PileIndex(registry._entries.values())
-    return [node for _, node in registry._index.within(center, range_m)
-            if node.layer == layer]
+    return [node for _, node in registry.within(center, range_m) if node.layer == layer]
 
 
 class PileIndex:

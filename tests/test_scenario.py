@@ -12,7 +12,7 @@ from gridfog import scenario
 from gridfog.engine import LatencyModel, link_latency
 from gridfog.errors import InvariantViolation
 from gridfog.fognode import evaluate_charging_request
-from gridfog.messages import ServiceRequest, StatusReportMsg
+from gridfog.messages import JobResult, ServiceRequest, StatusReportMsg
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
 from gridfog.topology import Point2D
 
@@ -746,14 +746,14 @@ def test_a_job_is_scored_on_its_piles_load_when_handled(monkeypatch):
                          n_fnc=1, request_rate=120.0, sim_duration_ms=10_000.0,
                          service_rate_per_hour=36_000.0, w_dist=0.0)
     scored = {}
-    aggregate = scenario.aggregate
+    offer_score = scenario.offer_score
 
-    def spy(request_id, results, clock):
-        [result] = results
-        scored[request_id] = result.score
-        return aggregate(request_id, results, clock)
+    def spy(request, pile, load, weights):
+        assert request.request_id not in scored  # one job per decision
+        scored[request.request_id] = score = offer_score(request, pile, load, weights)
+        return score
 
-    monkeypatch.setattr(scenario, "aggregate", spy)
+    monkeypatch.setattr(scenario, "offer_score", spy)
     sim = Simulation(cfg, trace=[])
     (host,) = sim.piles.values()
     host.pile.queue_len = 3
@@ -775,21 +775,23 @@ def test_a_job_is_scored_on_its_piles_load_when_handled(monkeypatch):
 
 def test_every_score_a_decision_reads_is_the_one_pile_score_at_the_handled_load(monkeypatch):
     # Dense requests on two piles, both weights non-zero, so loads move
-    # between a job's dispatch and its handling.  The FNC's batch scorer
-    # must give each reply the very bits the one-pile function gives its
+    # between a job's dispatch and its handling.  The FNC's decision must
+    # score each job with the very bits the one-pile function gives its
     # pile at the load it had when it handled the job.
     cfg = ScenarioConfig(seed=3, architecture="coordinated", request_rate=2000.0,
                          sim_duration_ms=6000.0, n_fog=2, wireless_air_ms=8.0)
     assert cfg.w_dist > 0 and cfg.w_wait > 0
     assert cfg.sim_duration_ms < 3_600_000.0 / cfg.service_rate_per_hour  # no drain
-    decisions = []
-    aggregate = scenario.aggregate
+    decisions = {}  # per request, the scores its decision read and when
+    offer_score = scenario.offer_score
 
-    def spy(request_id, results, clock):
-        decisions.append((results, clock))
-        return aggregate(request_id, results, clock)
+    def spy(request, pile, load, weights):
+        score = offer_score(request, pile, load, weights)
+        results, _ = decisions.setdefault(request.request_id, ([], sim.queue.clock))
+        results.append(JobResult(request.request_id, pile.node, score))
+        return score
 
-    monkeypatch.setattr(scenario, "aggregate", spy)
+    monkeypatch.setattr(scenario, "offer_score", spy)
     sim = Simulation(cfg, trace=[])
     requests = {}
     send = sim.send_wireless
@@ -817,7 +819,7 @@ def test_every_score_a_decision_reads_is_the_one_pile_score_at_the_handled_load(
         return bisect.bisect_left(charged[node], instant)
 
     read = moved = moved_after_handling = 0
-    for results, decided_at in decisions:
+    for results, decided_at in decisions.values():
         last_handled = -math.inf
         for result in results:
             job = jobs[result.request_id, result.responder]
@@ -868,7 +870,8 @@ def _serve_elsewhere(sim):
                  id="messages-replies-overread"),
     pytest.param(r"flows: \S+ left frozen at ",
                  lambda sim: setattr(_first_flow(sim), "frozen", True), id="flows-frozen"),
-    pytest.param(r"flows: \S+ resident at \[.+\], served by ", _serve_elsewhere,
+    pytest.param(r"flows: flow-terminal-\d+ resident at \[fog-\d+\], served by fog-\d+$",
+                 _serve_elsewhere,
                  id="flows-served-elsewhere"),
     pytest.param(r"flows: \S+ migrating with nothing due past the horizon$",
                  lambda sim: sim._active_migrations.update(

@@ -3,7 +3,10 @@
 The coordinator reads its registry of pile reports, narrows to in-range
 piles with queue headroom (the candidate group V), dispatches one job per
 candidate, and picks the lowest score among the results.  ``Simulation``
-does this in one loop at dispatch and one at the decision.
+does this in one loop at dispatch and one at the decision.  The decision
+loop walks the jobs nearest first and stops at the first whose distance
+term alone is above the best score, since no farther job can win or tie;
+it scores every job when a skipped score could fail to be finite.
 """
 
 from __future__ import annotations

@@ -515,8 +515,10 @@ class Simulation:
         departure = self.channel.acquire(self.queue.clock)
         host = self.piles.get(dst)
         load = 0.0 if host is None else float(host.pile.queue_len)
+        positions = self.positions  # piles and FNCs; only a terminal end is walked
         arrival = departure + self.channel.air_ms + link_latency(
-            self.wireless, self.position(src), self.position(dst), load
+            self.wireless, positions[src] if src in positions else self.position(src),
+            positions[dst] if dst in positions else self.position(dst), load
         )
         self._deliver(arrival, "wireless", src, dst, payload, request_id, load)
         return arrival
@@ -527,7 +529,7 @@ class Simulation:
         fixed = costs.get(greater)
         if fixed is None:
             fixed = costs[greater] = link_latency(
-                self.backhaul, self.position(src), self.position(dst), 0.0)
+                self.backhaul, self.positions[src], self.positions[dst], 0.0)
         host = self.piles.get(dst)
         load = 0.0 if host is None else float(host.pile.queue_len)
         # ``link_latency`` adds the load term last too, so the bits agree.
@@ -706,7 +708,8 @@ class Simulation:
         first, proc = queue.reserve(len(hits)), self.backhaul.proc_ms_per_unit
         # An FNC's id sorts before every pile's ("fnc" < "fog"), so it keys its links.
         costs = self._wired_ms.setdefault(fnc_node, {})
-        here, traced = self.position(fnc_node), self._traced
+        positions, traced = self.positions, self._traced
+        here = positions[fnc_node]
         if traced:
             self._flush_held(clock, queue.seq)
         booked, full, unhandled, past, latest = [], 0, 0, 0, -math.inf
@@ -716,13 +719,13 @@ class Simulation:
                 continue
             fixed = costs.get(node)
             if fixed is None:
-                fixed = costs[node] = link_latency(self.backhaul, here, self.position(node), 0.0)
+                fixed = costs[node] = link_latency(self.backhaul, here, positions[node], 0.0)
             pile = piles[node].pile
             load = pile.queue_len
             arrival = clock + (fixed + proc * load)
             handled_at = arrival + compute_ms
             if traced:
-                distance = here.distance_to(self.position(node))
+                distance = here.distance_to(positions[node])
                 self.trace.append(SendTrace(clock, arrival, "backhaul", fnc_node, node, distance,
                                             float(load), "JobDispatch", request_id))
             if handled_at > horizon:
@@ -768,19 +771,36 @@ class Simulation:
         logged before the pile's first change after the job's ``(handled_at,
         seq)``, else its load now.  No job predates its window, nor do the
         changes read.
+
+        The jobs are booked nearest first, and a score is ``w_dist`` times the
+        distance (the bits ``PileIndex.within`` sorted by) plus a term that is
+        never negative.  Rounding is monotone, so once ``w_dist`` times a
+        job's distance is above the best score, every later score is too,
+        and the loop stops there: later jobs can neither win nor tie.  It
+        stops only if the largest score a skipped job could have, at the
+        farthest distance and a load of 2**63, which no queue reaches, is
+        finite; otherwise every job is scored, so a non-finite score raises
+        as it would unskipped.
         """
         window = self._windows.pop(deadline.request_id)
         request, jobs, changes = window.request, window.jobs, self._booking.changes
         later: dict[NodeId, list[tuple[SimTime, int, int]]] = {}  # per pile, in order
         for at, seq, node, before in changes[bisect.bisect_left(changes, (window.opened_at,)):]:
             later.setdefault(node, []).append((at, seq, before))
-        score_of, weights, best, chosen = offer_score, self.config.weights, math.inf, None
+        cfg, origin = self.config, request.origin
+        weights, best, chosen = cfg.weights, math.inf, None
+        w_dist, w_wait = weights
+        bounded = bool(jobs) and math.isfinite(  # every pile serves at the configured rate
+            w_dist * math.dist(jobs[-1][2].location, origin)
+            + w_wait * (2**63 / cfg.service_rate_per_hour))
         for handled_at, seq, pile in jobs:
+            if bounded and w_dist * math.dist(pile.location, origin) > best:
+                break
             load, logged = pile.queue_len, later.get(pile.node)
             if logged:
                 load = next((before for at, changed, before in logged
                              if (at, changed) > (handled_at, seq)), load)
-            score = score_of(request, pile, load, weights)
+            score = offer_score(request, pile, load, weights)
             if score < best or score == best and pile.node < chosen:
                 best, chosen = score, pile.node
         self._tally.aggregated += len(jobs)

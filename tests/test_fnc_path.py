@@ -1,10 +1,12 @@
 """The simulator's FNC path against the step-by-step reference in ``coordinator``.
 
 ``Simulation`` dispatches in one loop over its registry's range hits and
-decides in one loop over the booked jobs.  For any registry, loads, range and
-weights it must give what ``filter_candidates -> dispatch -> score_piles ->
-aggregate`` gives: the same candidates in the same order, the same chosen
-pile, and the same score bits.
+decides in one loop over the booked jobs, which stops at the first job that
+cannot win.  For any registry, loads, range and weights it must give what
+``filter_candidates -> dispatch -> score_piles -> aggregate`` gives: the same
+candidates in the same order, the same chosen pile, the same bits for every
+score it reads, a reference score above the chosen one for every pile it
+skips, and the same error where a score is not finite.
 """
 
 import math
@@ -47,12 +49,15 @@ def fnc_cases(draw):
     edges = [d for spot in spots if (d := math.dist(origin, spot)) > 0.0]
     range_m = draw(st.one_of(st.sampled_from(edges), st.floats(0.5, 800.0))
                    if edges else st.floats(0.5, 800.0))
-    weights = draw(st.sampled_from([(1.0, 600.0), (0.0, 600.0), (1.0, 0.0), (0.25, 3.0)]))
+    # (1.0, 1e300) overflows the stopping rule's bound, so every job is
+    # scored; (1e306, 600.0) overflows it, and the score, of a pile past ~180 m.
+    weights = draw(st.sampled_from([(1.0, 600.0), (0.0, 600.0), (1.0, 0.0), (0.25, 3.0),
+                                    (1.0, 1e300), (1e306, 600.0)]))
     return piles, origin, range_m, weights
 
 
 def fnc_path(piles, origin, range_m, weights):
-    """The simulator's answer: (candidates in order, reply, score per pile)."""
+    """The simulator's answer: (candidates in order, reply or error, score per pile read)."""
     cfg = ScenarioConfig(architecture="coordinated", n_terminals=1, n_fog=len(piles), n_fnc=1,
                          w_dist=weights[0], w_wait=weights[1], capacity=CAPACITY,
                          aggregation_timeout_ms=10_000.0)
@@ -82,7 +87,10 @@ def fnc_path(piles, origin, range_m, weights):
         window = sim._windows.get(request.request_id)
         order = None if window is None else [pile.node for _, _, pile in window.jobs]
         if window is not None:
-            sim._agg_timeout(FNC, scenario._Deadline(request.request_id))
+            try:
+                sim._agg_timeout(FNC, scenario._Deadline(request.request_id))
+            except ValueError as error:
+                replies.append(error)
     [reply] = replies
     return sim, registry, request, order, reply, scores
 
@@ -92,6 +100,12 @@ def fnc_path(piles, origin, range_m, weights):
           (1.0, 600.0))).via("every pile full")
 @example(([((10.0, 0.0), 0, 2), ((10.0, 0.0), CAPACITY - 1, 2), ((0.0, 10.0), 1, 2)],
           (0.0, 0.0), 10.0, (0.0, 600.0))).via("duplicate spots, equal scores")
+@example(([((25.0, 0.0), 0, 0), ((5.0, 0.0), 1, 1)], (0.0, 0.0), 50.0,
+          (1.0, 600.0))).via("a farther pile's distance term ties the best and its lower id wins")
+@example(([((30.0, 0.0), 0, 0), ((5.0, 0.0), 1, 1), ((10.0, 0.0), 1, 2)], (0.0, 0.0), 50.0,
+          (0.0, 600.0))).via("no distance weight, the farthest pile wins")
+@example(([((1.0, 0.0), 0, 0), ((300.0, 0.0), 0, 0)], (0.0, 0.0), 400.0,
+          (1e306, 600.0))).via("the bound overflows, and so does the far pile's score")
 def test_the_fnc_path_matches_the_reference_chain(case):
     sim, registry, request, order, reply, scores = fnc_path(*case)
     try:
@@ -104,8 +118,15 @@ def test_the_fnc_path_matches_the_reference_chain(case):
     assert order == [job.assignee for job in jobs]
     offers = [(sim.piles[job.assignee].pile, sim.piles[job.assignee].pile.queue_len)
               for job in jobs]
-    results = score_piles(request, offers, case[3])
+    try:
+        results = score_piles(request, offers, case[3])
+    except ValueError as error:
+        assert type(reply) is ValueError and reply.args == error.args
+        return
     expected = aggregate(request.request_id, results, 0.0)
     assert reply == Decision(request.request_id, expected.chosen, 0.0)
-    assert {r.responder: r.score.hex() for r in results} == {
-        node: score.hex() for node, score in scores.items()}
+    reference = {r.responder: r.score for r in results}
+    assert {node: score.hex() for node, score in scores.items()} == {
+        node: reference[node].hex() for node in scores}
+    best = reference[expected.chosen]
+    assert all(score > best for node, score in reference.items() if node not in scores)

@@ -12,6 +12,7 @@ from gridfog import scenario
 from gridfog.engine import LatencyModel, link_latency
 from gridfog.errors import InvariantViolation
 from gridfog.fognode import evaluate_charging_request
+from gridfog.harness import SweepSpec, run_sweep
 from gridfog.messages import JobResult, ServiceRequest, StatusReportMsg
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
 from gridfog.topology import Point2D
@@ -837,6 +838,27 @@ def test_every_score_a_decision_reads_is_the_one_pile_score_at_the_handled_load(
             load_at(r.responder, decided_at) != load_at(r.responder, last_handled)
             for r in results)
     assert read > 1000 and moved > 10 and moved_after_handling > 10
+
+
+NON_FINITE_SCORES = [
+    dict(w_dist=1e306),  # far piles' distance terms overflow
+    dict(w_dist=1e306, n_fog=50),  # only far ones; each request's best pile is near
+    dict(service_rate_per_hour=1e-320, w_wait=0.0),  # a loaded pile's wait is 0 * inf
+]
+
+
+@pytest.mark.parametrize("overrides", NON_FINITE_SCORES)
+def test_a_non_finite_score_fails_the_run(overrides):
+    # The FNC stops scoring at the first job that cannot win, but only when
+    # no job it skips could score past the largest float; so a run that
+    # meets a non-finite score still fails, and each sweep cell is an error row.
+    for architecture in ("traditional", "coordinated"):
+        with pytest.raises(ValueError, match="^score must be finite$"):
+            run_scenario(small_config(architecture=architecture, **overrides))
+    table = run_sweep(SweepSpec("n_fnc", (1.0,), repetitions=1, base=small_config(**overrides)))
+    assert [(row.architecture, row.error) for row in table] == [
+        (architecture, "ValueError: score must be finite")
+        for architecture in ("traditional", "coordinated")]
 
 
 class _Stray:

@@ -21,17 +21,14 @@ from gridfog.fognode import (
     PileState,
     migration_source,
     on_migration_end,
-    session_flow_template,
 )
 from gridfog.topology import Point2D, fog_id
 
 
 def hand_driven():
     print("-- by hand ------------------------------------------------")
-    src = FogNode(PileState(fog_id(0), Point2D(0.0, 0.0)), capacity=8,
-                  flow_template=session_flow_template())
-    dst = FogNode(PileState(fog_id(1), Point2D(900.0, 0.0)), capacity=8,
-                  flow_template=session_flow_template())
+    src = FogNode(PileState(fog_id(0), Point2D(0.0, 0.0)), capacity=8)
+    dst = FogNode(PileState(fog_id(1), Point2D(900.0, 0.0)), capacity=8)
     flow = src.create_flow("ev-7-session")
     for seq in range(1, 6):
         flow.offer(seq)

@@ -48,9 +48,9 @@ class EventQueue:
     being handled, -1 before the first; only the queue moves them.
     """
 
-    def __init__(self, start: SimTime = 0.0):
+    def __init__(self):
         self._heap: list[SimEvent] = []
-        self.clock: SimTime = start
+        self.clock: SimTime = 0.0
         self.seq = -1
         self._next_seq = 0
 

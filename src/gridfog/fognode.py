@@ -3,9 +3,9 @@
 A pile evaluates dispatched charging queries against its own state, runs
 session flows through their operator chain, and acts as source or target
 of the flow migration protocol.  The protocol is a candidate-by-candidate
-handshake: pop the best remaining candidate, ask it to accept, ship a
-frozen state snapshot on accept, fall through to the next candidate on
-reject, and warn and give up when the candidate group is exhausted.
+handshake: ask the candidates in group order to accept, ship a frozen
+state snapshot on accept, fall through to the next candidate on reject,
+and warn and give up when the group or the attempt bound runs out.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ class MigrationPolicy:
             raise ValueError("candidate group contains duplicates")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-
-    def attempt_bound(self) -> int:
-        if self.max_attempts is None:
-            return len(self.candidates)
-        return min(self.max_attempts, len(self.candidates))
 
 
 @dataclass
@@ -179,13 +174,11 @@ class _ForwardingStub:
 class FogNode:
     """One charging pile: its state, resident flows, and migration hooks."""
 
-    def __init__(self, pile: PileState, capacity: int = 64,
-                 flow_template: tuple[str, ...] | None = None):
+    def __init__(self, pile: PileState, capacity: int = 64):
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
         self.pile = pile
         self.capacity = capacity
-        self.flow_template = flow_template or session_flow_template()
         self.flows: dict[str, FlowInstance] = {}
         self.forwarding: dict[str, _ForwardingStub] = {}
         self._reservations: set[str] = set()
@@ -203,7 +196,7 @@ class FogNode:
         self.forwarding.pop(instance.flow_id, None)
 
     def create_flow(self, flow_id: str) -> FlowInstance:
-        instance = FlowInstance(flow_id, self.flow_template, self.node)
+        instance = FlowInstance(flow_id, session_flow_template(), self.node)
         self.install_flow(instance)
         return instance
 
@@ -308,8 +301,7 @@ class MigrationSourceSession:
         self.host = host
         self.flow_id = flow_id
         self.policy = policy
-        self.remaining: list[NodeId] = list(policy.candidates)
-        self.attempts = 0
+        self.attempts = 0  # candidates asked so far; the next is ``candidates[attempts]``
         self.current: NodeId | None = None
 
     def begin(self, observed_latency_ms: float) -> MigrationStep:
@@ -318,11 +310,12 @@ class MigrationSourceSession:
         return self._next_candidate()
 
     def _next_candidate(self) -> MigrationStep:
-        if not self.remaining or self.attempts >= self.policy.attempt_bound():
+        candidates, bound = self.policy.candidates, self.policy.max_attempts
+        if self.attempts >= len(candidates) or bound is not None and self.attempts >= bound:
             log.warning("can not migrate: flow %s at %s", self.flow_id, self.host.node)
             outcome = MigrationOutcome("failed", attempts=self.attempts, warned=True)
             return MigrationStep("failed", outcome=outcome)
-        self.current = self.remaining.pop(0)
+        self.current = candidates[self.attempts]
         self.attempts += 1
         return MigrationStep("send-start", target=self.current)
 

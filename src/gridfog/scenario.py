@@ -109,6 +109,8 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an integer")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if min(self.n_terminals, self.n_fog, self.n_fnc) < 0:
@@ -309,13 +311,14 @@ class _Booking:
     """What a coordinated run needs to book each job's handling at dispatch.
 
     A job is scored after the instant its pile handles it, against the load
-    its pile had then, so each load change is logged, in event order, as
-    ``(clock, seq)`` of the changing event, pile and load before.  Each
-    job's reply is traced where its handling would have put it, so its row
-    is held in a heap keyed ``(handled_at, seq)`` until the stream gets there.
+    its pile had then, so each pile keeps its own log of load changes, in
+    event order, as ``(clock, seq)`` of the changing event and the load
+    before.  Each job's reply is traced where its handling would have put
+    it, so its row is held in a heap keyed ``(handled_at, seq)`` until the
+    stream gets there.
     """
 
-    changes: list[tuple[SimTime, int, NodeId, int]] = field(default_factory=list)
+    changes: dict[NodeId, list[tuple[SimTime, int, int]]]  # one log per pile
     held: list[tuple[SimTime, int, SendTrace]] = field(default_factory=list)
 
 
@@ -413,7 +416,8 @@ class Simulation:
         # CPython keeps an instance's attributes in a dict shared with its
         # class only up to 30 names; past that every ``self.x`` in the event
         # loop slows, so new state joins an existing attribute's object.
-        self._booking = _Booking() if config.architecture == "coordinated" else None
+        self._booking = (_Booking({node: [] for node in self.piles})
+                         if config.architecture == "coordinated" else None)
         self._schedule_initial_events()
         self.events_left: int | None = None  # set by ``run``
 
@@ -621,15 +625,15 @@ class Simulation:
         self._repeat(tick)
 
     def _log_load(self, pile: PileState):
-        """Log ``pile``'s load before the event being handled changes it.
+        """Log ``pile``'s load before the event being handled changes it, in its own log.
 
-        Only the jobs of open windows read the log, none from before the
-        oldest one's dispatch, so older entries go.
+        Only the jobs of open windows read a log, none from before the
+        oldest one's dispatch, so the pile's older entries go.
         """
-        changes, queue = self._booking.changes, self.queue
+        changes, queue = self._booking.changes[pile.node], self.queue
         oldest = next(iter(self._windows.values())).opened_at if self._windows else queue.clock
         del changes[:bisect.bisect_left(changes, (oldest,))]
-        changes.append((queue.clock, queue.seq, pile.node, pile.queue_len))
+        changes.append((queue.clock, queue.seq, pile.queue_len))
 
     # --------------------------------------------------------- requesting
     def _issue_request(self, node: NodeId, tick: _RequestTick):
@@ -768,9 +772,10 @@ class Simulation:
         """Decide for the booked job of lowest ``(score, pile)``, as ``aggregate`` would.
 
         A job is scored at its pile's load when the pile handled it: the load
-        logged before the pile's first change after the job's ``(handled_at,
-        seq)``, else its load now.  No job predates its window, nor do the
-        changes read.
+        before the first change in the pile's log after the job's
+        ``(handled_at, seq)``, found by one bisection, else its load now.
+        Sequence numbers are integers, so that change is the first entry at
+        or after ``(handled_at, seq + 1)``.
 
         The jobs are booked nearest first, and a score is ``w_dist`` times the
         distance (the bits ``PileIndex.within`` sorted by) plus a term that is
@@ -784,9 +789,6 @@ class Simulation:
         """
         window = self._windows.pop(deadline.request_id)
         request, jobs, changes = window.request, window.jobs, self._booking.changes
-        later: dict[NodeId, list[tuple[SimTime, int, int]]] = {}  # per pile, in order
-        for at, seq, node, before in changes[bisect.bisect_left(changes, (window.opened_at,)):]:
-            later.setdefault(node, []).append((at, seq, before))
         cfg, origin = self.config, request.origin
         weights, best, chosen = cfg.weights, math.inf, None
         w_dist, w_wait = weights
@@ -796,10 +798,9 @@ class Simulation:
         for handled_at, seq, pile in jobs:
             if bounded and w_dist * math.dist(pile.location, origin) > best:
                 break
-            load, logged = pile.queue_len, later.get(pile.node)
-            if logged:
-                load = next((before for at, changed, before in logged
-                             if (at, changed) > (handled_at, seq)), load)
+            logged = changes[pile.node]
+            after = bisect.bisect_left(logged, (handled_at, seq + 1))
+            load = logged[after][2] if after < len(logged) else pile.queue_len
             score = offer_score(request, pile, load, weights)
             if score < best or score == best and pile.node < chosen:
                 best, chosen = score, pile.node

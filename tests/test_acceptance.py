@@ -24,7 +24,6 @@ from gridfog.fognode import (
     evaluate_charging_request,
     migration_source,
     on_migration_end,
-    session_flow_template,
 )
 from gridfog.harness import default_sweep, emit_csv, run_sweep
 from gridfog.messages import ServiceRequest
@@ -180,7 +179,7 @@ def test_acceptance_4_decision_matches_brute_force_oracle():
 
 def _migration_host(k: int) -> FogNode:
     pile = PileState(fog_id(k), Point2D(float(k), 0.0))
-    return FogNode(pile, capacity=8, flow_template=session_flow_template())
+    return FogNode(pile, capacity=8)
 
 
 def test_acceptance_5_migration_state_machine(caplog):

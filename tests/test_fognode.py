@@ -185,6 +185,27 @@ def test_all_reject_exhausts_group(caplog):
     assert src.has_flow("f1")
 
 
+@pytest.mark.parametrize("group, max_attempts, asked", [
+    (4, 2, 2),  # the bound stops the session before the group runs out
+    (3, 9, 3),  # the group runs out before the bound
+])
+def test_attempt_bound_stops_the_session(caplog, group, max_attempts, asked):
+    src = host(0)
+    src.create_flow("f1")
+    candidates = tuple(fog_id(k) for k in range(1, group + 1))
+    policy = MigrationPolicy(t_upper=50.0, candidates=candidates, max_attempts=max_attempts)
+    seen = []
+    with caplog.at_level(logging.WARNING):
+        outcome = migration_source(src, "f1", 80.0, policy,
+                                   respond=lambda c: seen.append(c) and False)
+    assert seen == list(candidates[:asked])
+    assert outcome.kind == "failed"
+    assert outcome.attempts == asked
+    assert outcome.warned
+    assert any("can not migrate" in r.message for r in caplog.records)
+    assert src.has_flow("f1")
+
+
 def test_unknown_flow_rejected():
     src = host(0)
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1),))

@@ -54,6 +54,11 @@ CONFIGS = {
     "coordinated-short-window": dict(
         architecture="coordinated", query_range_m=2000.0, aggregation_timeout_ms=285.0),
     "coordinated-migrating": dict(architecture="coordinated", t_upper_ms=1.0),
+    # Piles full after one charge refuse most migrations, and a session
+    # gives up after two refusals where the whole group would find a pile.
+    "coordinated-migration-bounded": dict(
+        architecture="coordinated", t_upper_ms=1.0, capacity=1, request_rate=16.0,
+        max_migration_attempts=2),
     # Replies still queued at the horizon.
     "traditional-overload": dict(
         architecture="traditional", request_rate=64.0, query_range_m=2000.0,
@@ -73,6 +78,11 @@ CONFIGS = {
     "coordinated-load-moves": dict(
         architecture="coordinated", request_rate=2000.0, sim_duration_ms=6000.0, n_fog=2,
         wireless_air_ms=8.0),
+    # As above, with a distance term so small that the load a job is scored
+    # at, not the pile's distance, picks the pile.
+    "coordinated-load-decides": dict(
+        architecture="coordinated", request_rate=2000.0, sim_duration_ms=6000.0, n_fog=2,
+        wireless_air_ms=8.0, w_dist=0.001),
     # Piles full after one charge drop most broadcasts, and with no airtime
     # and no propagation a request reaches every pile in range at once.
     "traditional-full-piles-instant": dict(
@@ -89,10 +99,12 @@ GOLDEN = {
     "traditional-1ms-window": "5b5deb7d09d8d21618abc364e84823487067b6045ffb6ac78f28adce02936cbc",
     "coordinated-short-window": "e293c372120cf77b7502898c72d0e635a33cccc2a3ead9029219c2b066ae67f6",
     "coordinated-migrating": "6ed107af31919aa0134ac37ab3db5cb01188d44f89609124003fe078c5be2498",
+    "coordinated-migration-bounded": "a5fa1d494438b2f2e654eea07062ddbe6b26c5411b0934848da8463c5d2f4039",
     "traditional-overload": "f88131261367511cd3cd616c3a08f3f9b37de535b840d6e0e680f026efab6153",
     "coordinated-slow-backhaul": "a32e43415c70bb3aa77890a714c61768dce2a3cfe6be7e8b682781e8b996ca88",
     "traditional-fast-walkers": "cc1540c3c6261d18dc0059da8744c9f87d705596bef20e607f4c97b122e88c7f",
     "coordinated-load-moves": "6e2e93d0cbb41c2233709269245e4f0be9e8d33dcb1a7a0ec2bf60db0b3cf91e",
+    "coordinated-load-decides": "3ff69f348dea067ca3cf5941e74df21adf0101c3efd069283cea42e71b81d3c5",
     "traditional-full-piles-instant": "0f293d2a075471f3ec4705bae646309dd3755172fb94d851716c03de4ce26c37",
 }
 

@@ -24,6 +24,15 @@ def small_config(**overrides):
     return ScenarioConfig(**base)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_fog", 2.5), ("n_terminals", 3.0), ("seed", 1.5),  # each broke mid-run
+    ("capacity", 1.5), ("max_migration_attempts", 1.5), ("n_fnc", True),  # each ran
+])
+def test_an_integer_field_takes_only_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        ScenarioConfig(**{field: value})
+
+
 def run_noting_origins(config, **kwargs):
     """Run ``config``; also return each request's origin, as the run sent it.
 
@@ -908,6 +917,12 @@ def test_conservation_check_names_the_broken_law(law, tamper):
     tamper(sim)
     with pytest.raises(InvariantViolation, match=f"^{name}: {detail}"):
         sim._check_conservation()
+
+
+def test_a_second_run_returns_the_run_without_checking_again():
+    sim = run_scenario(small_config(architecture="coordinated"))
+    sim.messages_total += 1  # the check would now name the messages law
+    assert sim.run() is sim
 
 
 @pytest.mark.parametrize("architecture", ["traditional", "coordinated"])

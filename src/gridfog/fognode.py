@@ -53,6 +53,8 @@ class MigrationPolicy:
             raise ValueError("t_upper must be > 0")
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError("candidate group contains duplicates")
+        if self.max_attempts is not None and type(self.max_attempts) is not int:
+            raise ValueError("max_attempts must be an integer")  # bool is a subclass
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 

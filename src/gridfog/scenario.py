@@ -308,17 +308,18 @@ class _Tally:
 
 @dataclass(slots=True)
 class _Booking:
-    """What a coordinated run needs to book each job's handling at dispatch.
+    """The books only a coordinated run keeps; a traditional run has none.
 
-    A job is scored after the instant its pile handles it, against the load
-    its pile had then, so each pile keeps its own log of load changes, in
-    event order, as ``(clock, seq)`` of the changing event and the load
-    before.  Each job's reply is traced where its handling would have put
-    it, so its row is held in a heap keyed ``(handled_at, seq)`` until the
-    stream gets there.
+    ``links[fnc][pile]`` is an FNC–pile backhaul cost at no load, fixed at
+    set-up; ``hypot`` ignores signs, so it holds both ways.  Each pile logs
+    each load change as ``(clock, seq)`` of its event and the load before,
+    so a job is scored at its load when handled.  A reply row is held in a
+    heap keyed ``(handled_at, seq)`` until the event loop gets there.
     """
 
+    links: dict[NodeId, dict[NodeId, float]]  # per FNC, per pile
     changes: dict[NodeId, list[tuple[SimTime, int, int]]]  # one log per pile
+    last_report: dict[NodeId, StatusReportMsg]  # per pile
     held: list[tuple[SimTime, int, SendTrace]] = field(default_factory=list)
 
 
@@ -376,10 +377,6 @@ class Simulation:
             str, tuple[MigrationSourceSession, NodeId, float] | None] = {}
         # One reply window per open request, whichever node decides it.
         self._windows: dict[str, _ReplyWindow] = {}
-        # Each backhaul pair's latency at no receiver load, keyed by the lesser
-        # node and then the greater (``hypot`` is symmetric).  Wired links join
-        # only piles and FNCs, which never move, so each is computed once.
-        self._wired_ms: dict[NodeId, dict[NodeId, float]] = {}
 
         pile_records = [rec for rec in self.records if rec.node.layer == Layer.FOG]
         self.piles: dict[NodeId, FogNode] = {}
@@ -395,14 +392,21 @@ class Simulation:
         self.terminals = {rec.node: _Terminal(rec.node, rec.location)
                           for rec in self.records if rec.node.layer == Layer.TERMINAL}
 
-        self._last_report: dict[NodeId, StatusReportMsg] = {}  # per pile, sent or seeded
+        # CPython shares an instance's attribute keys only up to 30 names (a test
+        # checks it), so state only coordination needs joins this one object.
+        self._booking = None
         if config.architecture == "coordinated":
+            at = self.positions
+            self._booking = booking = _Booking(
+                links={fnc: {rec.node: link_latency(self.backhaul, at[fnc], rec.location, 0.0)
+                             for rec in pile_records} for fnc in self.registries},
+                changes={node: [] for node in self.piles},
+                last_report={node: StatusReportMsg(self._status_of(host, 0.0))
+                             for node, host in self.piles.items()})
             # Only coordination reads a registry; each starts knowing every pile.
-            for host in self.piles.values():
-                status = self._status_of(host, 0.0)
+            for report in booking.last_report.values():
                 for registry in self.registries.values():
-                    report_status(registry, status)
-                self._last_report[host.node] = StatusReportMsg(status)
+                    report_status(registry, report.status)
             for term in self.terminals.values():
                 nearest = self.pile_index.nearest(self.position(term.node))
                 if nearest is None:
@@ -413,11 +417,6 @@ class Simulation:
                 term.flow_id = flow_id
 
         self._routes = self._ROUTES[config.architecture]
-        # CPython keeps an instance's attributes in a dict shared with its
-        # class only up to 30 names; past that every ``self.x`` in the event
-        # loop slows, so new state joins an existing attribute's object.
-        self._booking = (_Booking({node: [] for node in self.piles})
-                         if config.architecture == "coordinated" else None)
         self._schedule_initial_events()
         self.events_left: int | None = None  # set by ``run``
 
@@ -467,7 +466,7 @@ class Simulation:
                     self.queue.schedule(t, node, _RequestTick())
                     t += arrivals.exponential(mean_gap)
         self._repeat(_MobilityTick(cfg.mobility_step_ms))
-        if cfg.architecture == "coordinated" and self.registries:
+        if cfg.architecture == "coordinated":
             self._repeat(_ReportTick(cfg.report_period_ms))
         self._repeat(_DrainTick(3_600_000.0 / cfg.service_rate_per_hour))
 
@@ -528,16 +527,19 @@ class Simulation:
         return arrival
 
     def send_wired(self, src: NodeId, dst: NodeId, payload, request_id=None) -> SimTime:
-        lesser, greater = (src, dst) if src < dst else (dst, src)
-        costs = self._wired_ms.setdefault(lesser, {})
-        fixed = costs.get(greater)
-        if fixed is None:
-            fixed = costs[greater] = link_latency(
-                self.backhaul, self.positions[src], self.positions[dst], 0.0)
+        """Send ``payload`` from a pile over the backhaul; returns its arrival at ``dst``.
+
+        An FNC has no receiver load, so a link to one costs its ``_Booking.links``
+        entry; a link between piles costs ``link_latency`` at the receiver's load.
+        """
         host = self.piles.get(dst)
-        load = 0.0 if host is None else float(host.pile.queue_len)
-        # ``link_latency`` adds the load term last too, so the bits agree.
-        arrival = self.queue.clock + (fixed + self.backhaul.proc_ms_per_unit * load)
+        if host is None:
+            load = 0.0
+            arrival = self.queue.clock + self._booking.links[dst][src]
+        else:
+            load = float(host.pile.queue_len)
+            arrival = self.queue.clock + link_latency(
+                self.backhaul, self.positions[src], self.positions[dst], load)
         self._deliver(arrival, "backhaul", src, dst, payload, request_id, load)
         return arrival
 
@@ -547,7 +549,7 @@ class Simulation:
         A status report stamped before now is a repeat that its FNC holds,
         or will once an earlier copy arrives, so it changes nothing and is
         only counted.  Any other payload is queued.  The trace records the
-        true arrival either way.
+        true arrival either way; held reply rows are ``run``'s to release.
         """
         kind = type(payload)
         if kind is StatusReportMsg and payload.status.reported_at < self.queue.clock:
@@ -564,28 +566,34 @@ class Simulation:
         else:
             self._outcome_by_id[request_id].messages_used += 1
         if self._traced:
-            if self._booking is not None:
-                self._flush_held(self.queue.clock, self.queue.seq)
             distance = self.position(src).distance_to(self.position(dst))
             self.trace.append(
                 SendTrace(self.queue.clock, arrival, medium, src, dst, distance, load,
                           kind.__name__, request_id)
             )
 
-    def _flush_held(self, clock: SimTime, seq: int):
-        """Trace the held reply rows of jobs handled before event ``(clock, seq)``."""
-        held, append = self._booking.held, self.trace.append
-        while held and (held[0][0] < clock or held[0][0] == clock and held[0][1] < seq):
-            append(heapq.heappop(held)[2])
-
     # ------------------------------------------------------------ events
     def run(self) -> "Simulation":
+        """Handle every event due by the horizon and check the run; later calls just return it.
+
+        In a traced coordinated run each event first traces the held reply rows keyed
+        before its ``(fire_at, seq)``; one held in an event keys after it, by a later seq.
+        """
         if self.events_left is not None:
             return self
         self._tally.base_load = self._total_load()
-        self.queue.run_until(self.horizon, self._handle)
-        if self._traced and self._booking is not None:
-            self._flush_held(math.inf, 0)
+        handle, holding = self._handle, self._traced and self._booking is not None
+        if holding:
+            held, append = self._booking.held, self.trace.append
+
+            def handle(event, handle_event=handle):
+                while held and held[0] < event[:2]:  # a row keyed at the event sorts after it
+                    append(heapq.heappop(held)[2])
+                handle_event(event)
+        self.queue.run_until(self.horizon, handle)
+        if holding:
+            for *_, row in sorted(held):
+                append(row)
         # Events still due past the horizon, queued or booked at send.
         self.events_left = len(self.queue) + self._past_horizon
         self._check_conservation()
@@ -605,7 +613,7 @@ class Simulation:
 
     def _report_piles(self, _, tick: _ReportTick):
         """Each pile reports to every FNC; an unchanged load re-sends its last report."""
-        last = self._last_report
+        last = self._booking.last_report
         for node, host in self.piles.items():
             report = last[node]
             if host.pile.queue_len != report.status.resources.queue_len:
@@ -691,10 +699,10 @@ class Simulation:
 
         One loop over the registry's range hits, nearest first, dispatches to
         each pile with headroom there, as ``filter_candidates`` would.  A job
-        arrives after ``send_wired``'s delay, to the bit.  Its pile handles it
-        ``compute_ms`` later and replies at once; the FNC has no receiver
-        load, so the reply's arrival is fixed at dispatch too.  Both are
-        counted and traced at dispatch, the reply's row held until the stream
+        arrives after its ``_Booking.links`` cost plus its pile's load term.
+        Its pile handles it ``compute_ms`` later and replies at once, at the
+        link's cost, as the FNC has no receiver load.  Both are counted and
+        traced at dispatch, the reply's row held until the event loop
         reaches the job's handling, whose sequence number the job takes.  When
         every reply is in time, one event at the last job's handling schedules
         the decision for the latest arrival.  Otherwise the deadline decides,
@@ -710,20 +718,14 @@ class Simulation:
         deadline, compute_ms = clock + cfg.aggregation_timeout_ms, cfg.compute_ms
         # One block of sequence numbers in hit order; a full pile's goes unused.
         first, proc = queue.reserve(len(hits)), self.backhaul.proc_ms_per_unit
-        # An FNC's id sorts before every pile's ("fnc" < "fog"), so it keys its links.
-        costs = self._wired_ms.setdefault(fnc_node, {})
         positions, traced = self.positions, self._traced
-        here = positions[fnc_node]
-        if traced:
-            self._flush_held(clock, queue.seq)
+        costs, here = self._booking.links[fnc_node], positions[fnc_node]
         booked, full, unhandled, past, latest = [], 0, 0, 0, -math.inf
         for seq, (_, node) in enumerate(hits, first):
             if (reported := statuses[node].resources).queue_len >= reported.capacity:
                 full += 1
                 continue
-            fixed = costs.get(node)
-            if fixed is None:
-                fixed = costs[node] = link_latency(self.backhaul, here, positions[node], 0.0)
+            fixed = costs[node]
             pile = piles[node].pile
             load = pile.queue_len
             arrival = clock + (fixed + proc * load)
@@ -899,8 +901,7 @@ class Simulation:
         scored = sorted([
             (base + per_m * math.dist(origin, status.location), node)  # link_latency, no load
             for node, status in self.registries[fnc_id(0)].statuses.items()
-            if node.layer == Layer.FOG and node != source
-            and (load := status.resources).queue_len < load.capacity])
+            if node != source and (load := status.resources).queue_len < load.capacity])
         return tuple(node for _, node in scored)
 
     def _complaint_at_pile(self, pile_node: NodeId, complaint: LatencyComplaint):
@@ -919,21 +920,17 @@ class Simulation:
 
     def _run_migration_step(self, flow_id: str, step):
         session, terminal, trigger = self._active_migrations[flow_id]
+        source = session.host.node
         if step.kind == "send-start":
-            self.send_wired(
-                session.host.node, step.target, StartMigration(flow_id, session.host.node)
-            )
+            self.send_wired(source, step.target, StartMigration(flow_id, source))
         elif step.kind == "send-state":
-            self.send_wired(
-                session.host.node, step.target,
-                ObjectStateMsg(flow_id, step.state, step.pending),
-            )
+            self.send_wired(source, step.target, ObjectStateMsg(flow_id, step.state, step.pending))
         elif step.kind in ("done", "failed", "not-needed"):
             outcome = step.outcome
             self.audits.append(
                 MigrationAudit(
                     flow_id=flow_id,
-                    source=session.host.node,
+                    source=source,
                     target=outcome.target,
                     attempts=outcome.attempts,
                     outcome=outcome.kind,

@@ -58,6 +58,10 @@ GUARDS = [
      ValueError, "candidate group contains duplicates"),
     ("policy-attempts", lambda: MigrationPolicy(50.0, (fog_id(1),), max_attempts=0),
      ValueError, "max_attempts must be >= 1"),
+    ("policy-attempts-float", lambda: MigrationPolicy(50.0, (fog_id(1),), max_attempts=1.5),
+     ValueError, "max_attempts must be an integer"),
+    ("policy-attempts-bool", lambda: MigrationPolicy(50.0, (fog_id(1),), max_attempts=True),
+     ValueError, "max_attempts must be an integer"),
     ("pile-queue", lambda: PileState(fog_id(0), HERE, queue_len=-1),
      ValueError, "queue_len must be >= 0"),
     ("pile-rate", lambda: PileState(fog_id(0), HERE, service_rate=0.0),

@@ -336,6 +336,52 @@ def test_wired_arrivals_are_exactly_the_link_model():
         assert t.arrives_at == t.sent_at + expected, t
 
 
+def test_each_wired_send_arrives_after_the_link_model_to_the_bit():
+    # Reports go pile to FNC on the set-up table's cost; migrations go pile
+    # to pile on ``link_latency`` at the receiving pile's load.
+    sim = Simulation(small_config(architecture="coordinated", t_upper_ms=1.0,
+                                  proc_ms_per_unit=0.7))
+    model, positions, send = sim.backhaul, sim.positions, sim.send_wired
+    sends = Counter()
+
+    def spy(src, dst, payload, request_id=None):
+        host = sim.piles.get(dst)
+        load = 0.0 if host is None else float(host.pile.queue_len)
+        expected = sim.queue.clock + link_latency(model, positions[src], positions[dst], load)
+        arrival = send(src, dst, payload, request_id)
+        assert arrival == expected, (src, dst, payload)
+        sends[src.layer, dst.layer] += 1
+        return arrival
+
+    sim.send_wired = spy
+    sim.run()
+    assert set(sends) == {("fog", "fnc"), ("fog", "fog")}
+    for fnc, costs in sim._booking.links.items():
+        assert list(costs) == list(sim.piles)
+        for pile, cost in costs.items():
+            assert cost == link_latency(model, positions[pile], positions[fnc], 0.0)
+
+
+def test_a_traditional_run_keeps_no_books_yet_delivers_pile_to_pile():
+    sim = Simulation(small_config(architecture="traditional"))
+    assert sim._booking is None
+    src, dst = list(sim.piles)[:2]
+    sim.piles[dst].pile.queue_len = 3
+    arrival = sim.send_wired(src, dst, _Stray())
+    assert arrival == link_latency(sim.backhaul, sim.positions[src], sim.positions[dst], 3.0)
+    assert any(e.fire_at == arrival and e.target == dst and isinstance(e.payload, _Stray)
+               for e in sim.queue)
+
+
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+def test_a_run_keeps_its_attributes_in_the_shared_key_dict(architecture):
+    # CPython shares an instance's attribute keys with its class only up to
+    # 30 names; past that every ``self.x`` on the event loop's path slows.
+    # New state belongs in an existing attribute's object, such as _Booking.
+    sim = Simulation(small_config(architecture=architecture), trace=[]).run()
+    assert len(vars(sim)) <= 30
+
+
 def test_wireless_transmissions_serialize_on_one_channel():
     sim = Simulation(small_config(architecture="traditional"), trace=[]).run()
     cfg = sim.config

@@ -1,5 +1,7 @@
 """Deterministic fog-computing simulator for smart-grid charging services."""
 
+import logging
+
 from .engine import EventQueue, LatencyModel, RngStream, SimEvent, SimTime, link_latency
 from .errors import (
     CapacityExceeded,
@@ -32,3 +34,6 @@ from .metrics import MetricsRow, MetricsTable, percentile_nearest_rank
 from .scenario import ScenarioConfig, Simulation, run_scenario
 
 __version__ = "0.1.0"
+
+# A library logs only where its application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

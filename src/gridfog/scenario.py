@@ -40,6 +40,7 @@ from .fognode import (
 from .messages import (
     Decision,
     FailureNotice,
+    JobDispatch,
     JobResult,
     LatencyComplaint,
     ServiceRequest,
@@ -287,8 +288,8 @@ class _Deadline:
     request_id: str
 
 
-# The payloads a node sends on no request's behalf.  Any other send with no
-# request id is lost to the messages law.
+# The payloads a node sends on no request's behalf.  The messages law counts
+# every other send against its request.
 _UNATTRIBUTED = frozenset({
     StatusReportMsg, LatencyComplaint, StartMigration, MigrationResponse, ObjectStateMsg,
     MigrationAck,
@@ -299,8 +300,6 @@ _UNATTRIBUTED = frozenset({
 class _Tally:
     """Counts that only the end-of-run conservation check reads."""
 
-    unattributed: int = 0  # status reports and migration messages, which serve no request
-    replies: int = 0  # JobResult messages piles sent to FNCs
     aggregated: int = 0  # replies read by FNC decisions
     drained: int = 0  # charges the drains took off non-empty piles
     base_load: int = 0  # charges the piles held before the run's first event
@@ -367,7 +366,8 @@ class Simulation:
         self.audits: list[MigrationAudit] = []
         self.trace = () if trace is None else trace
         self._traced = trace is not None
-        self.messages_total = 0
+        # Messages sent, per payload type; the bulk kinds are added to in place.
+        self.sent: dict[type, int] = {ServiceRequest: 0, JobDispatch: 0, JobResult: 0}
         self._past_horizon = 0  # messages and job handlings due past the horizon, not queued
         self._tally = _Tally()
         self._outcome_by_id: dict[str, RequestOutcome] = {}
@@ -419,6 +419,10 @@ class Simulation:
         self._routes = self._ROUTES[config.architecture]
         self._schedule_initial_events()
         self.events_left: int | None = None  # set by ``run``
+
+    @property
+    def messages_total(self) -> int:
+        return sum(self.sent.values())
 
     # ------------------------------------------------------------- build
     def _aim(self, term: _Terminal, start: Point2D):
@@ -559,11 +563,8 @@ class Simulation:
             self.queue.schedule(arrival + self.config.fnc_service_ms, dst, payload)
         else:
             self.queue.schedule(arrival, dst, payload)
-        self.messages_total += 1
-        if request_id is None:
-            if kind in _UNATTRIBUTED:
-                self._tally.unattributed += 1
-        else:
+        self.sent[kind] = self.sent.get(kind, 0) + 1
+        if request_id is not None:
             self._outcome_by_id[request_id].messages_used += 1
         if self._traced:
             distance = self.position(src).distance_to(self.position(dst))
@@ -690,7 +691,7 @@ class Simulation:
             if traced:
                 self.trace.append(SendTrace(clock, arrival, "wireless", node, pile, distance,
                                             load, "ServiceRequest", request_id))
-        self.messages_total += len(hits)
+        self.sent[ServiceRequest] += len(hits)
         self._outcome_by_id[request_id].messages_used += len(hits)
 
     # ------------------------------------------------------- coordinated
@@ -753,10 +754,10 @@ class Simulation:
                 request_id, "no-eligible-nodes"), request_id)
             return
         self._windows[request_id] = _FanOutWindow(request, deadline, clock, booked)
-        sent = jobs - unhandled
-        self.messages_total += jobs + sent
-        self._outcome_by_id[request_id].messages_used += jobs + sent
-        self._tally.replies += sent
+        replies, sent = jobs - unhandled, self.sent
+        sent[JobDispatch] += jobs
+        sent[JobResult] += replies
+        self._outcome_by_id[request_id].messages_used += jobs + replies
         if len(booked) == jobs:  # every reply in time
             last_handled, last_seq, _ = max(booked)
             queue.schedule_reserved(last_handled, last_seq, fnc_node,
@@ -852,7 +853,7 @@ class Simulation:
             window.results.append(result)
             if window.last_arrival is None or arrival > window.last_arrival:
                 window.last_arrival = arrival
-        self.messages_total += 1
+        self.sent[JobResult] += 1
         self._outcome_by_id[request_id].messages_used += 1
         if self._traced:
             self.trace.append(SendTrace(clock, arrival, "wireless", pile_node, requester,
@@ -1030,13 +1031,13 @@ class Simulation:
                 broken("outcomes", f"{o.request_id} undecided, with no failure and "
                                    "nothing due past the horizon")
 
-        if self.messages_total != used + tally.unattributed:
+        unattributed = sum(n for kind, n in self.sent.items() if kind in _UNATTRIBUTED)
+        if self.messages_total != used + unattributed:
             broken("messages", f"{self.messages_total} sent != {used} used by requests "
-                               f"+ {tally.unattributed} status reports and migration "
-                               "messages")
-        if tally.aggregated > tally.replies:
+                               f"+ {unattributed} status reports and migration messages")
+        if tally.aggregated > self.sent[JobResult]:
             broken("messages", f"FNC decisions read {tally.aggregated} replies, "
-                               f"but piles sent {tally.replies}")
+                               f"but piles sent {self.sent[JobResult]}")
 
         for request_id, window in self._windows.items():
             if window.deadline <= self.horizon:

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import statistics
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+import gridfog
 from gridfog.cli import main
 from gridfog.errors import (
     InvalidValue,
@@ -478,6 +482,23 @@ def test_cli_run_streams_one_trace_line_per_message(tmp_path):
     assert main(["run", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "fast.cfg", "metrics.csv", "metrics_topology.csv"]
+
+
+def test_cli_run_prints_no_migration_warning(tmp_path):
+    # Seven migration sessions of this run run out of candidates, each logging
+    # a warning; with no logging configured, none of them reaches stderr.
+    cfg = tmp_path / "exhausting.cfg"
+    cfg.write_text("seed = 2\nt_upper_ms = 1\ncapacity = 1\nrequest_rate = 16\n"
+                   "max_migration_attempts = 2\n")
+    src = str(Path(gridfog.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "gridfog.cli", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "m.csv")], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert "completed" in done.stdout
+    assert done.stderr == ""
 
 
 def test_cli_sweep_then_plot_data(tmp_path):

@@ -13,7 +13,8 @@ from gridfog.engine import LatencyModel, link_latency
 from gridfog.errors import InvariantViolation
 from gridfog.fognode import evaluate_charging_request
 from gridfog.harness import SweepSpec, run_sweep
-from gridfog.messages import JobResult, ServiceRequest, StatusReportMsg
+from gridfog.messages import (
+    JobDispatch, JobResult, LatencyComplaint, ServiceRequest, StatusReportMsg)
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
 from gridfog.topology import Point2D
 
@@ -409,6 +410,7 @@ def test_trace_is_opt_in(architecture):
     assert plain.outcomes == traced.outcomes
     assert plain.audits == traced.audits
     assert plain.messages_total == traced.messages_total > 0
+    assert plain.sent == traced.sent
     assert len(traced.trace) == traced.messages_total
 
 
@@ -478,10 +480,32 @@ def test_broadcast_loop_sends_as_send_wireless_does(overrides):
     assert (len(set(arrivals)) < len(arrivals)) == (config.wireless_air_ms == 0.0)
 
 
-def test_every_message_is_traced():
-    for arch in ("traditional", "coordinated"):
-        sim = Simulation(small_config(architecture=arch), trace=[]).run()
-        assert sim.messages_total == len(sim.trace)
+# Some migration sessions here run out of candidates; a CLI test runs it too.
+MIGRATION_EXHAUSTING = dict(seed=2, t_upper_ms=1.0, capacity=1, request_rate=16.0,
+                            max_migration_attempts=2)
+
+
+@pytest.mark.parametrize("config, edge", [
+    pytest.param(small_config(architecture="traditional"), lambda sim: sim.sent[JobResult],
+                 id="traditional"),
+    pytest.param(small_config(architecture="coordinated"), lambda sim: sim.sent[JobDispatch],
+                 id="coordinated"),
+    pytest.param(ScenarioConfig(**MIGRATION_EXHAUSTING),
+                 lambda sim: any(a.warned for a in sim.audits), id="migration-exhausting"),
+    pytest.param(small_config(aggregation_timeout_ms=1.0),
+                 lambda sim: sim.sent[JobResult] and not any(o.completed for o in sim.outcomes),
+                 id="1ms-window"),
+    # A job handled past the horizon sends no reply; those handled before it do.
+    pytest.param(small_config(backhaul_base_ms=30_000.0, sim_duration_ms=30_000.0),
+                 lambda sim: 0 < sim.sent[JobResult] < sim.sent[JobDispatch],
+                 id="30s-backhaul"),
+])
+def test_every_message_is_traced(config, edge):
+    sim = Simulation(config, trace=[]).run()
+    assert edge(sim)
+    assert sim.messages_total == sum(sim.sent.values()) == len(sim.trace)
+    rows = Counter(t.kind for t in sim.trace)
+    assert rows == {kind.__name__: n for kind, n in sim.sent.items() if n}
 
 
 @pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
@@ -929,12 +953,19 @@ def _serve_elsewhere(sim):
     term.serving_pile = next(node for node in sim.piles if node != term.serving_pile)
 
 
+def _relabel_replies_as_jobs(sim):
+    # The total stays put, so only the replies law can break.
+    moved = sim.sent[JobResult] - sim._tally.aggregated + 1
+    sim.sent[JobResult] -= moved
+    sim.sent[JobDispatch] += moved
+
+
 @pytest.mark.parametrize("law, tamper", [
     ("pile load", lambda sim: setattr(next(iter(sim.piles.values())).pile, "queue_len", 99)),
     ("flows", lambda sim: next(iter(sim.piles.values()))._reservations.add("flow-x")),
     ("windows", lambda sim: sim._windows.update(
         stale=scenario._ReplyWindow(None, sim.horizon))),
-    ("messages", lambda sim: setattr(sim, "messages_total", sim.messages_total + 1)),
+    ("messages", lambda sim: sim.sent.update({ServiceRequest: sim.sent[ServiceRequest] + 1})),
     pytest.param("messages", lambda sim: sim.send_wired(
         next(iter(sim.piles)), next(iter(sim.registries)), _Stray()), id="messages-stray-send"),
     ("outcomes", lambda sim: setattr(sim.outcomes[0], "failure", None)
@@ -942,9 +973,12 @@ def _serve_elsewhere(sim):
     pytest.param(r"outcomes: \S+ decided and failed \(lost\)", lambda sim: setattr(
         next(o for o in sim.outcomes if o.completed), "failure", "lost"),
         id="outcomes-decided-and-failed"),
+    pytest.param("messages", lambda sim: sim.send_wired(
+        *list(sim.piles)[:2], LatencyComplaint("flow-x", next(iter(sim.terminals)),
+                                               Point2D(0.0, 0.0), 1.0),
+        sim.outcomes[0].request_id), id="messages-complaint-for-a-request"),
     pytest.param(r"messages: FNC decisions read \d+ replies, but piles sent \d+",
-                 lambda sim: setattr(sim._tally, "aggregated", sim._tally.replies + 1),
-                 id="messages-replies-overread"),
+                 _relabel_replies_as_jobs, id="messages-replies-overread"),
     pytest.param(r"flows: \S+ left frozen at ",
                  lambda sim: setattr(_first_flow(sim), "frozen", True), id="flows-frozen"),
     pytest.param(r"flows: flow-terminal-\d+ resident at \[fog-\d+\], served by fog-\d+$",
@@ -967,7 +1001,7 @@ def test_conservation_check_names_the_broken_law(law, tamper):
 
 def test_a_second_run_returns_the_run_without_checking_again():
     sim = run_scenario(small_config(architecture="coordinated"))
-    sim.messages_total += 1  # the check would now name the messages law
+    sim.sent[ServiceRequest] += 1  # the check would now name the messages law
     assert sim.run() is sim
 
 

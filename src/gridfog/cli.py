@@ -26,11 +26,13 @@ from .scenario import ARCHITECTURES, ScenarioConfig, Simulation
 
 def _base_config(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "arch", None):
-        cfg = replace(cfg, architecture=args.arch)
-    return cfg
+    flags = {"seed": args.seed, "architecture": getattr(args, "arch", None)}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    try:
+        return replace(cfg, **overrides)
+    except ValueError as exc:
+        given = ", ".join(f"{key} = {value}" for key, value in overrides.items())
+        raise ConfigError(f"{args.config} with {given}: {exc}") from None
 
 
 def _cmd_run(args) -> int:

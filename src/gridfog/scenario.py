@@ -403,7 +403,7 @@ class Simulation:
                 changes={node: [] for node in self.piles},
                 last_report={node: StatusReportMsg(self._status_of(host, 0.0))
                              for node, host in self.piles.items()})
-            # Only coordination reads a registry; each starts knowing every pile.
+            # Only coordination reads a registry; each starts with a report of every pile.
             for report in booking.last_report.values():
                 for registry in self.registries.values():
                     report_status(registry, report.status)
@@ -698,9 +698,10 @@ class Simulation:
     def _fnc_process(self, fnc_node: NodeId, request: ServiceRequest):
         """Dispatch one job per candidate and book when each is handled, with no event.
 
-        One loop over the registry's range hits, nearest first, dispatches to
-        each pile with headroom there, as ``filter_candidates`` would.  A job
-        arrives after its ``_Booking.links`` cost plus its pile's load term.
+        One loop over the range hits of the run's one ``pile_index``, nearest
+        first, dispatches to each pile that the FNC's registry reports with
+        headroom, as ``filter_candidates`` would.  A job arrives after its
+        ``_Booking.links`` cost plus its pile's load term.
         Its pile handles it ``compute_ms`` later and replies at once, at the
         link's cost, as the FNC has no receiver load.  Both are counted and
         traced at dispatch, the reply's row held until the event loop
@@ -714,8 +715,8 @@ class Simulation:
         """
         cfg, queue, horizon, piles = self.config, self.queue, self.horizon, self.piles
         clock, request_id = queue.clock, request.request_id
-        registry = self.registries[fnc_node]
-        hits, statuses = registry.within(request.origin, request.query_range_m), registry.statuses
+        hits = self.pile_index.within(request.origin, request.query_range_m)
+        statuses = self.registries[fnc_node].statuses
         deadline, compute_ms = clock + cfg.aggregation_timeout_ms, cfg.compute_ms
         # One block of sequence numbers in hit order; a full pile's goes unused.
         first, proc = queue.reserve(len(hits)), self.backhaul.proc_ms_per_unit

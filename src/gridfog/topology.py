@@ -1,10 +1,11 @@
-"""Node identity, arena placement, and the status registry.
+"""Node identity, arena placement, the status registry and the pile index.
 
 The arena is a circle (2000 m diameter by default).  Terminals and fog
 nodes (charging piles) are placed uniformly at random inside it; each
 fog node coordinator (FNC) sits at the centroid of its equal angular
 sector; the cloud is a single logical record at the arena center that
-no message reaches.
+no message reaches.  Piles never move once placed, so a run indexes
+their positions once; a registry holds only what reports say.
 """
 
 from __future__ import annotations
@@ -109,14 +110,13 @@ class Registry:
 
     Entries are replaced only by strictly newer reports; an identical
     re-report is a no-op and an older one raises StaleReport.  ``statuses``
-    is a read-only live view of them.  Range queries read a spatial index
-    of them, built on the first query after a node joins or moves.
+    is a read-only live view of them.  A registry keeps no geometry of its
+    own: a run's range queries read its one ``PileIndex``.
     """
 
     def __init__(self):
         self._entries: dict[NodeId, NodeStatus] = {}
         self.statuses: Mapping[NodeId, NodeStatus] = MappingProxyType(self._entries)
-        self._index: PileIndex | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -130,12 +130,6 @@ class Registry:
     def entries(self) -> list[NodeStatus]:
         return sorted(self._entries.values(), key=lambda s: s.node)
 
-    def within(self, center: Point2D, range_m: float) -> list[tuple[float, NodeId]]:
-        """``(distance, node)`` for every node within ``range_m`` of ``center``, sorted."""
-        if self._index is None:
-            self._index = PileIndex(self._entries.values())
-        return self._index.within(center, range_m)
-
 
 def report_status(registry: Registry, status: NodeStatus) -> Registry:
     """Fold one report into the registry (mutating it) and return it."""
@@ -148,8 +142,6 @@ def report_status(registry: Registry, status: NodeStatus) -> Registry:
             )
         if status.reported_at == existing.reported_at:
             return registry
-    if existing is None or existing.location != status.location:
-        registry._index = None
     registry._entries[status.node] = status
     return registry
 
@@ -159,32 +151,35 @@ def nodes_within(
 ) -> list[NodeId]:
     """Registered nodes of ``layer`` within ``range_m`` of ``center``.
 
-    Sorted by ascending distance, ties broken by NodeId.
+    Sorted by ascending distance, ties broken by NodeId: a scan of every
+    report, with the bits and the order that ``PileIndex.within`` promises.
     """
     if range_m < 0:
         raise ValueError("range_m must be >= 0")
-    return [node for _, node in registry.within(center, range_m) if node.layer == layer]
+    hits = sorted((math.dist(status.location, center), node)
+                  for node, status in registry.statuses.items() if node.layer == layer)
+    return [node for distance, node in hits if distance <= range_m]
 
 
 class PileIndex:
     """Static node positions, indexed once for range and nearest-node queries.
 
     Built from anything with a ``node`` and a ``location``, such as the
-    simulator's pile records or a registry's statuses; it keeps only those
-    two.  numpy only narrows each query down to the nodes worth an exact
-    test.  Its distances may differ from ``Point2D.distance_to`` in the
-    last bit, so they are compared with a relative slack far above that,
-    plus an absolute one for distances in the subnormal range, where a
-    relative slack adds nothing.  ``math.dist``, which takes ``hypot`` of
-    the coordinate differences just as ``Point2D.distance_to`` does, and a
-    ``(distance, node)`` sort or min on the survivors then decide, so the
-    answers equal those of a scan over every node.
+    simulator's pile records; it keeps only those two.  numpy only narrows
+    each query down to the nodes worth an exact test.  Its distances may
+    differ from ``Point2D.distance_to`` in the last bit, so they are
+    compared with a relative slack far above that, plus an absolute one
+    for distances in the subnormal range, where a relative slack adds
+    nothing.  ``math.dist``, which takes ``hypot`` of the coordinate
+    differences just as ``Point2D.distance_to`` does, and a ``(distance,
+    node)`` sort or min on the survivors then decide, so the answers equal
+    those of a scan over every node.
     """
 
     _REL_SLACK = 1e-9
     _ABS_SLACK = 1e-300  # m
 
-    def __init__(self, piles: Iterable[NodeRecord | NodeStatus]):
+    def __init__(self, piles: Iterable[NodeRecord]):
         piles = list(piles)
         self._nodes = [r.node for r in piles]
         self._locations = [r.location for r in piles]

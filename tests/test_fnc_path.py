@@ -1,9 +1,10 @@
 """The simulator's FNC path against the step-by-step reference in ``coordinator``.
 
-``Simulation`` dispatches in one loop over its registry's range hits and
+``Simulation`` dispatches in one loop over its pile index's range hits and
 decides in one loop over the booked jobs, which stops at the first job that
 cannot win.  For any registry, loads, range and weights it must give what
-``filter_candidates -> dispatch -> score_piles -> aggregate`` gives: the same
+``filter_candidates -> dispatch -> score_piles -> aggregate`` gives, whose
+range query scans every report rather than the index: the same
 candidates in the same order, the same chosen pile, the same bits for every
 score it reads, a reference score above the chosen one for every pile it
 skips, and the same error where a score is not finite.
@@ -22,6 +23,7 @@ from gridfog.messages import Decision, FailureNotice, ServiceRequest
 from gridfog.scenario import RequestOutcome, ScenarioConfig, Simulation
 from gridfog.topology import (
     NodeStatus,
+    PileIndex,
     Point2D,
     Registry,
     ResourceProfile,
@@ -69,6 +71,7 @@ def fnc_path(piles, origin, range_m, weights):
         pile.queue_len = load
         report_status(registry, NodeStatus(pile.node, pile.location,
                                            ResourceProfile(CAPACITY, reported), 0.0))
+    sim.pile_index = PileIndex(host.pile for host in sim.piles.values())  # the moved piles
     request = ServiceRequest("terminal-0/r0", terminal_id(0), Point2D(*origin),
                              "charging-query", range_m, 0.0)
     sim._outcome_by_id[request.request_id] = RequestOutcome(request.request_id,

@@ -46,6 +46,11 @@ CONFIGS = {
     "coordinated-reply-at-deadline": dict(
         architecture="coordinated", query_range_m=2800.0, compute_ms=250.0,
         aggregation_timeout_ms=250.0, **_INSTANT_BACKHAUL),
+    # Every pile's reply reaches its terminal exactly at the window's deadline.
+    "traditional-reply-at-deadline": dict(
+        architecture="traditional", query_range_m=2800.0, wireless_base_ms=1.0,
+        wireless_air_ms=0.0, wireless_prop_ms_per_m=0.0, proc_ms_per_unit=0.0,
+        compute_ms=2.0, aggregation_timeout_ms=4.0),
     "coordinated-1ms-window": dict(
         architecture="coordinated", query_range_m=1200.0, aggregation_timeout_ms=1.0),
     "traditional-1ms-window": dict(
@@ -95,6 +100,7 @@ GOLDEN = {
     "traditional": "66b259043193c8ee4e60ae839f1a078eac437eff3fd6c18febc0a1bf824b5906",
     "coordinated-instant-backhaul": "8ee10305a02410272efb3d69f6850fa29a3277216129f5eaf197470ac1e8c78c",
     "coordinated-reply-at-deadline": "2b28ad5589321a9d7fb61d039d7b845b1fb914d6f2a882efa3e2d26c65bd8dc1",
+    "traditional-reply-at-deadline": "ebaa2435069d1ddba0a8002183ff4015de68a84a204f1976f72238292b182454",
     "coordinated-1ms-window": "92d941a1e858199913bedbf18d8aad8db801efe521aa0d8eb894b6dc52a47139",
     "traditional-1ms-window": "5b5deb7d09d8d21618abc364e84823487067b6045ffb6ac78f28adce02936cbc",
     "coordinated-short-window": "e293c372120cf77b7502898c72d0e635a33cccc2a3ead9029219c2b066ae67f6",

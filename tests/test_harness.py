@@ -549,6 +549,18 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_cli_arch_that_breaks_the_config_is_one_config_error(tmp_path, capsys):
+    cfg = tmp_path / "traditional.cfg"
+    cfg.write_text("architecture = traditional\nn_fnc = 0\n")
+    out = tmp_path / "m.csv"
+    assert main(["run", "--config", str(cfg), "--arch", "coordinated", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ")
+    assert err[0].endswith("coordinated mode needs at least 1 FNC")
+    assert not out.exists()
+
+
 def test_cli_run_into_a_missing_directory_is_one_io_error(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path / "missing" / "m.csv")])
     assert code == 2

@@ -16,7 +16,7 @@ from gridfog.harness import SweepSpec, run_sweep
 from gridfog.messages import (
     JobDispatch, JobResult, LatencyComplaint, ServiceRequest, StatusReportMsg)
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
-from gridfog.topology import Point2D
+from gridfog.topology import PileIndex, Point2D, Registry
 
 
 def small_config(**overrides):
@@ -381,6 +381,21 @@ def test_a_run_keeps_its_attributes_in_the_shared_key_dict(architecture):
     # New state belongs in an existing attribute's object, such as _Booking.
     sim = Simulation(small_config(architecture=architecture), trace=[]).run()
     assert len(vars(sim)) <= 30
+
+
+def test_a_coordinated_run_indexes_its_piles_once(monkeypatch):
+    # Piles never move, so every FNC's range query reads the run's one index;
+    # a registry keeps only the reports.
+    built = []
+    init = PileIndex.__init__
+    monkeypatch.setattr(PileIndex, "__init__",
+                        lambda index, piles: built.append(index) or init(index, piles))
+    sim = Simulation(small_config(architecture="coordinated", n_fnc=3)).run()
+    assert built == [sim.pile_index]
+    assert sim._tally.aggregated > 0
+    assert not hasattr(Registry, "within")
+    assert all(vars(registry).keys() == {"_entries", "statuses"}
+               for registry in sim.registries.values())
 
 
 def test_wireless_transmissions_serialize_on_one_channel():
@@ -1031,6 +1046,20 @@ def test_migration_triggers_only_above_the_latency_bound():
     sim = run_scenario(ScenarioConfig(seed=11))
     for audit in sim.audits:
         assert audit.trigger_latency_ms > audit.t_upper_ms
+
+
+def test_a_latency_equal_to_the_bound_sends_no_complaint():
+    # A terminal's first EWMA sample is its latency to the bit, so a bound set
+    # to the run's earliest latency ties it; one ulp below, it complains.
+    config = small_config(architecture="coordinated")
+    first = min((o for o in run_scenario(config).outcomes if o.completed),
+                key=lambda o: (o.decided_at, o.request_id))
+    for bound, complaints in ((first.latency_ms, 0), (math.nextafter(first.latency_ms, 0), 1)):
+        sim = Simulation(replace(config, t_upper_ms=bound), trace=[]).run()
+        again = next(o for o in sim.outcomes if o.request_id == first.request_id)
+        assert (again.decided_at, again.latency_ms) == (first.decided_at, first.latency_ms)
+        assert complaints == sum(t.kind == "LatencyComplaint" and t.src == first.terminal
+                                 and t.sent_at == first.decided_at for t in sim.trace)
 
 
 def test_tiny_latency_bound_forces_migrations():

@@ -3,9 +3,11 @@
 A pile evaluates dispatched charging queries against its own state, runs
 session flows through their operator chain, and acts as source or target
 of the flow migration protocol.  The protocol is a candidate-by-candidate
-handshake: ask the candidates in group order to accept, ship a frozen
-state snapshot on accept, fall through to the next candidate on reject,
-and warn and give up when the group or the attempt bound runs out.
+handshake: ask the candidates in group order to accept, release the flow
+on accept and ship its state snapshot, fall through to the next candidate
+on reject, and warn and give up when the group or the attempt bound runs
+out.  A migrating flow is resident on a pile, behind a forwarding stub,
+or in the state message in flight; it is never held half-moved.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from .topology import NodeId, Point2D
 
 log = logging.getLogger(__name__)
 
-def session_flow_template() -> tuple[str, ...]:
-    """The three-operator ingest/assess/act chain used per charging session."""
-    return ("ingest", "assess", "act")
+# The three-operator chain each charging session's flow runs.
+SESSION_OPERATORS = ("ingest", "assess", "act")
 
 
 @dataclass(frozen=True)
 class FlowState:
-    """Frozen snapshot of a flow: per-operator states plus the event cursor."""
+    """Immutable snapshot of a flow: per-operator states plus the event cursor."""
 
     flow_id: str
     operator_states: tuple[tuple[str, int], ...]
@@ -128,11 +129,8 @@ class FlowInstance:
         self.cursor = cursor
         self.pending: dict[int, object] = {}
         self.processed_log: list[int] = []
-        self.frozen = False
 
     def offer(self, seq: int, payload: object = None) -> list[int]:
-        if self.frozen:
-            raise RuntimeError(f"flow {self.flow_id} is frozen for migration")
         if seq <= self.cursor or seq in self.pending:
             return []
         self.pending[seq] = payload
@@ -154,11 +152,6 @@ class FlowInstance:
             origin=self.home,
         )
 
-    def take_pending(self) -> list[tuple[int, object]]:
-        items = sorted(self.pending.items())
-        self.pending.clear()
-        return items
-
     @classmethod
     def restore(cls, state: FlowState, home: NodeId) -> "FlowInstance":
         """Rebuild a flow from its snapshot, which names its own operators."""
@@ -166,11 +159,6 @@ class FlowInstance:
             state.flow_id, (), home,
             operator_states=dict(state.operator_states), cursor=state.cursor,
         )
-
-
-@dataclass
-class _ForwardingStub:
-    target: NodeId
 
 
 class FogNode:
@@ -182,7 +170,7 @@ class FogNode:
         self.pile = pile
         self.capacity = capacity
         self.flows: dict[str, FlowInstance] = {}
-        self.forwarding: dict[str, _ForwardingStub] = {}
+        self.forwarding: dict[str, NodeId] = {}  # released flow -> the pile it went to
         self._reservations: set[str] = set()
 
     @property
@@ -198,20 +186,16 @@ class FogNode:
         self.forwarding.pop(instance.flow_id, None)
 
     def create_flow(self, flow_id: str) -> FlowInstance:
-        instance = FlowInstance(flow_id, session_flow_template(), self.node)
+        instance = FlowInstance(flow_id, SESSION_OPERATORS, self.node)
         self.install_flow(instance)
         return instance
 
     def offer_event(self, flow_id: str, seq: int, payload: object = None):
         """Feed one event; returns ('processed', seqs) or ('forward', target)."""
-        if flow_id in self.flows and not self.flows[flow_id].frozen:
+        if flow_id in self.flows:
             return "processed", self.flows[flow_id].offer(seq, payload)
-        if flow_id in self.flows and self.flows[flow_id].frozen:
-            # Arrived mid-handshake: hold it with the other in-flight events.
-            self.flows[flow_id].pending.setdefault(seq, payload)
-            return "held", []
         if flow_id in self.forwarding:
-            return "forward", self.forwarding[flow_id].target
+            return "forward", self.forwarding[flow_id]
         raise FlowNotResident(flow_id)
 
     def accept_migration(self, flow_id: str) -> bool:
@@ -221,14 +205,17 @@ class FogNode:
         self._reservations.add(flow_id)
         return True
 
-    def release_flow(self, flow_id: str, forward_to: NodeId) -> list[tuple[int, object]]:
-        """Drop the local instance, leaving a forwarding stub; returns leftovers."""
+    def release_flow(self, flow_id: str,
+                     forward_to: NodeId) -> tuple[FlowState, list[tuple[int, object]]]:
+        """Hand a flow off: drop it, leaving a stub to ``forward_to``.
+
+        Returns its state snapshot and the buffered events that travel with it.
+        """
         if flow_id not in self.flows:
             raise FlowNotResident(flow_id)
         instance = self.flows.pop(flow_id)
-        leftovers = instance.take_pending()
-        self.forwarding[flow_id] = _ForwardingStub(forward_to)
-        return leftovers
+        self.forwarding[flow_id] = forward_to
+        return instance.snapshot(), sorted(instance.pending.items())
 
     def reinstall_flow(self, state: FlowState,
                        pending: list[tuple[int, object]] = ()) -> FlowInstance:
@@ -238,15 +225,6 @@ class FogNode:
         for seq, payload in pending:
             instance.offer(seq, payload)
         return instance
-
-
-def on_migration_start(host: FogNode, flow_id: str) -> FlowState:
-    """Freeze the flow at the source and return its state snapshot."""
-    if not host.has_flow(flow_id):
-        raise FlowNotResident(flow_id)
-    instance = host.flows[flow_id]
-    instance.frozen = True
-    return instance.snapshot()
 
 
 def on_migration_end(host: FogNode, state: FlowState,
@@ -273,7 +251,11 @@ class MigrationOutcome:
     kind: str  # not-needed | migrated | failed
     target: NodeId | None = None
     attempts: int = 0
-    warned: bool = False
+
+    @property
+    def warned(self) -> bool:
+        """A failed migration is the one that logged "can not migrate"."""
+        return self.kind == "failed"
 
 
 @dataclass(frozen=True)
@@ -307,7 +289,7 @@ class MigrationSourceSession:
         self.current: NodeId | None = None
 
     def begin(self, observed_latency_ms: float) -> MigrationStep:
-        if observed_latency_ms < self.policy.t_upper:
+        if observed_latency_ms <= self.policy.t_upper:
             return MigrationStep("not-needed", outcome=MigrationOutcome("not-needed"))
         return self._next_candidate()
 
@@ -315,7 +297,7 @@ class MigrationSourceSession:
         candidates, bound = self.policy.candidates, self.policy.max_attempts
         if self.attempts >= len(candidates) or bound is not None and self.attempts >= bound:
             log.warning("can not migrate: flow %s at %s", self.flow_id, self.host.node)
-            outcome = MigrationOutcome("failed", attempts=self.attempts, warned=True)
+            outcome = MigrationOutcome("failed", attempts=self.attempts)
             return MigrationStep("failed", outcome=outcome)
         self.current = candidates[self.attempts]
         self.attempts += 1
@@ -326,8 +308,7 @@ class MigrationSourceSession:
             raise RuntimeError("no outstanding candidate")
         if not accept:
             return self._next_candidate()
-        state = on_migration_start(self.host, self.flow_id)
-        leftovers = self.host.release_flow(self.flow_id, forward_to=self.current)
+        state, leftovers = self.host.release_flow(self.flow_id, forward_to=self.current)
         return MigrationStep(
             "send-state", target=self.current, state=state, pending=tuple(leftovers)
         )

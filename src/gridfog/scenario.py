@@ -1047,10 +1047,8 @@ class Simulation:
 
         resident: dict[str, list[NodeId]] = {}
         for node, host in self.piles.items():
-            for flow_id, flow in host.flows.items():
+            for flow_id in host.flows:
                 resident.setdefault(flow_id, []).append(node)
-                if flow.frozen and flow_id not in due:
-                    broken("flows", f"{flow_id} left frozen at {node}")
             for flow_id in host._reservations:
                 if flow_id not in due:
                     broken("flows", f"{node} still holds a reservation for {flow_id}")

@@ -212,7 +212,7 @@ def test_acceptance_5_migration_state_machine(caplog):
     assert outcome.attempts == 1
     assert asked == [fog_id(1)]
     assert not src.has_flow("f")
-    assert src.forwarding["f"].target == fog_id(1)
+    assert src.forwarding["f"] == fog_id(1)
     assert dst.has_flow("f")
 
     # (c) reject then accept: V shrinks head-first, two attempts

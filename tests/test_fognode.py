@@ -1,6 +1,7 @@
 """Pile scoring, session flows, and the migration protocol."""
 
 import logging
+import math
 import random
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from gridfog.errors import CapacityExceeded, FlowNotResident
 from gridfog.fognode import (
+    SESSION_OPERATORS,
     FlowInstance,
     FogNode,
     MigrationPolicy,
@@ -15,9 +17,7 @@ from gridfog.fognode import (
     evaluate_charging_request,
     migration_source,
     on_migration_end,
-    on_migration_start,
     score_piles,
-    session_flow_template,
 )
 from gridfog.messages import ServiceRequest
 from gridfog.topology import Point2D, fog_id, terminal_id
@@ -89,7 +89,7 @@ def host(ordinal=0, queue_len=0, capacity=8):
 
 
 def test_flow_instance_reorders_and_dedupes():
-    inst = FlowInstance("f1", session_flow_template(), fog_id(0))
+    inst = FlowInstance("f1", SESSION_OPERATORS, fog_id(0))
     assert inst.offer(3) == []
     assert inst.offer(1) == [1]
     assert inst.offer(1) == []
@@ -103,28 +103,15 @@ def test_snapshot_restore_round_trip():
     inst = src.create_flow("f1")
     for seq in range(1, 8):
         inst.offer(seq)
-    state = on_migration_start(src, "f1")
+    state, leftovers = src.release_flow("f1", forward_to=fog_id(1))
     assert len(state.operator_states) == 3
     assert state.cursor == 7
+    assert leftovers == []
     restored = FlowInstance.restore(state, fog_id(1))
     assert restored.snapshot().operator_states == state.operator_states
     assert restored.snapshot().cursor == state.cursor
     assert restored.offer(8) == [8]
     assert restored.operator_states == {"ingest": 8, "assess": 8, "act": 8}
-
-
-def test_migration_start_unknown_flow():
-    with pytest.raises(FlowNotResident):
-        on_migration_start(host(0), "nope")
-
-
-def test_frozen_flow_holds_events():
-    src = host(0)
-    src.create_flow("f1")
-    on_migration_start(src, "f1")
-    kind, seqs = src.offer_event("f1", 1)
-    assert kind == "held"
-    assert seqs == []
 
 
 def test_below_threshold_not_needed():
@@ -160,7 +147,7 @@ def test_reject_then_accept_consumes_candidates():
     assert outcome.target == b
     assert outcome.attempts == 2
     assert not src.has_flow("f1")
-    assert src.forwarding["f1"].target == b
+    assert src.forwarding["f1"] == b
 
 
 def test_first_accept_migrates():
@@ -218,8 +205,7 @@ def test_migration_end_installs_at_target():
     inst = src.create_flow("f1")
     for seq in range(1, 5):
         inst.offer(seq)
-    state = on_migration_start(src, "f1")
-    src.release_flow("f1", forward_to=dst.node)
+    state, _ = src.release_flow("f1", forward_to=dst.node)
     ack = on_migration_end(dst, state)
     assert ack == "ack:f1"
     assert dst.has_flow("f1")
@@ -228,8 +214,8 @@ def test_migration_end_installs_at_target():
 
 def test_migration_end_full_target_rejects():
     src = host(0)
-    inst = src.create_flow("f1")
-    state = on_migration_start(src, "f1")
+    src.create_flow("f1")
+    state, _ = src.release_flow("f1", forward_to=fog_id(1))
     full = host(1, queue_len=8, capacity=8)
     with pytest.raises(CapacityExceeded):
         on_migration_end(full, state)
@@ -264,7 +250,7 @@ def test_reservation_survives_queue_growth():
     dst.pile.queue_len = 8  # fills up between accept and state arrival
     src = host(0)
     src.create_flow("f1")
-    state = on_migration_start(src, "f1")
+    state, _ = src.release_flow("f1", forward_to=dst.node)
     assert on_migration_end(dst, state) == "ack:f1"
 
 
@@ -283,6 +269,17 @@ def test_threshold_monotonicity():
             ).kind
         if outcomes[low] == "not-needed":
             assert outcomes[high] == "not-needed"
+
+
+@pytest.mark.parametrize("latency, kind", [
+    (50.0, "not-needed"),  # at the bound is not above it, as for the simulator's EWMA
+    (math.nextafter(50.0, math.inf), "migrated"),
+])
+def test_a_latency_at_the_bound_does_not_migrate(latency, kind):
+    src = host(0)
+    src.create_flow("f1")
+    policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1),))
+    assert migration_source(src, "f1", latency, policy, respond=lambda c: True).kind == kind
 
 
 def test_exactly_once_with_mid_stream_migration():

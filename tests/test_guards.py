@@ -7,7 +7,6 @@ import pytest
 from gridfog.engine import RngStream
 from gridfog.errors import FlowNotResident
 from gridfog.fognode import (
-    FlowInstance,
     FlowState,
     FogNode,
     MigrationPolicy,
@@ -38,12 +37,6 @@ def host_of(flow_id=None):
     return host
 
 
-def offer_to_frozen_flow():
-    flow = FlowInstance("f1", ("ingest",), fog_id(0))
-    flow.frozen = True
-    flow.offer(1)
-
-
 def session(candidates):
     return MigrationSourceSession(host_of("f1"), "f1", MigrationPolicy(50.0, candidates))
 
@@ -68,8 +61,6 @@ GUARDS = [
      ValueError, "service_rate must be > 0"),
     ("node-capacity", lambda: FogNode(PileState(fog_id(0), HERE), capacity=0),
      ValueError, "capacity must be > 0"),
-    ("offer-to-frozen-flow", offer_to_frozen_flow,
-     RuntimeError, "flow f1 is frozen for migration"),
     ("event-for-absent-flow", lambda: host_of().offer_event("ghost", 1),
      FlowNotResident, "ghost"),
     ("release-absent-flow", lambda: host_of().release_flow("ghost", fog_id(1)),

@@ -130,7 +130,7 @@ class MigrationModel(RuleBasedStateMachine):
         if kind is None:
             assert books.in_flight(), f"{flow} is lost on its way to {host.node}"
             return  # the event waits for the state to land
-        assert kind == "processed"  # a flow is frozen only inside one step
+        assert kind == "processed"  # a resident flow takes its events at once
         books.outbox.remove(seq)
         books.offered.add(seq)
 

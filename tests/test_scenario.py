@@ -959,13 +959,24 @@ class _Stray:
     """A payload that no architecture routes."""
 
 
-def _first_flow(sim):
-    return next(flow for host in sim.piles.values() for flow in host.flows.values())
-
-
 def _serve_elsewhere(sim):
     term = next(t for t in sim.terminals.values() if t.flow_id is not None)
     term.serving_pile = next(node for node in sim.piles if node != term.serving_pile)
+
+
+def _host_nowhere(sim):
+    term = next(t for t in sim.terminals.values() if t.flow_id is not None)
+    del sim.piles[term.serving_pile].flows[term.flow_id]
+
+
+def _host_twice(sim):
+    # The copy goes on a pile the law reads after the serving pile, so a law
+    # that looks only at the first pile it finds lets it through.
+    piles = list(sim.piles)
+    term = next(t for t in sim.terminals.values()
+                if t.flow_id is not None and t.serving_pile != piles[-1])
+    flow = sim.piles[term.serving_pile].flows[term.flow_id]
+    sim.piles[piles[piles.index(term.serving_pile) + 1]].reinstall_flow(flow.snapshot())
 
 
 def _relabel_replies_as_jobs(sim):
@@ -994,11 +1005,13 @@ def _relabel_replies_as_jobs(sim):
         sim.outcomes[0].request_id), id="messages-complaint-for-a-request"),
     pytest.param(r"messages: FNC decisions read \d+ replies, but piles sent \d+",
                  _relabel_replies_as_jobs, id="messages-replies-overread"),
-    pytest.param(r"flows: \S+ left frozen at ",
-                 lambda sim: setattr(_first_flow(sim), "frozen", True), id="flows-frozen"),
     pytest.param(r"flows: flow-terminal-\d+ resident at \[fog-\d+\], served by fog-\d+$",
                  _serve_elsewhere,
                  id="flows-served-elsewhere"),
+    pytest.param(r"flows: flow-terminal-\d+ resident at \[\], served by fog-\d+$",
+                 _host_nowhere, id="flows-resident-nowhere"),
+    pytest.param(r"flows: flow-terminal-\d+ resident at \[fog-\d+, fog-\d+\], served by fog-\d+$",
+                 _host_twice, id="flows-resident-twice"),
     pytest.param(r"flows: \S+ migrating with nothing due past the horizon$",
                  lambda sim: sim._active_migrations.update(
                      {next(iter(sim.terminals.values())).flow_id: None}),
@@ -1093,7 +1106,6 @@ def test_migrated_flows_end_resident_on_their_serving_pile(seed):
         hosts = [node for node, pile in sim.piles.items() if pile.has_flow(term.flow_id)]
         assert hosts == [term.serving_pile]
     for pile in sim.piles.values():
-        assert not any(flow.frozen for flow in pile.flows.values())
         assert not pile._reservations
     sim._check_conservation()
 

@@ -34,9 +34,9 @@ def hand_driven():
         flow.offer(seq)
     print(f"source processed events {flow.processed_log} before the complaint")
 
-    def deliver(candidate, state, pending):
-        on_migration_end(dst, state, pending=list(pending))
-        return True, None, ()
+    def deliver(candidate, state):
+        on_migration_end(dst, state)
+        return True, None
 
     policy = MigrationPolicy(t_upper=400.0, candidates=(fog_id(1),))
     outcome = migration_source(src, "ev-7-session", 712.0, policy,

@@ -6,8 +6,9 @@ of the flow migration protocol.  The protocol is a candidate-by-candidate
 handshake: ask the candidates in group order to accept, release the flow
 on accept and ship its state snapshot, fall through to the next candidate
 on reject, and warn and give up when the group or the attempt bound runs
-out.  A migrating flow is resident on a pile, behind a forwarding stub,
-or in the state message in flight; it is never held half-moved.
+out.  The snapshot carries the events the flow holds past a gap, so a
+migrating flow is resident on a pile, behind a forwarding stub, or in the
+state message in flight; it is never held half-moved.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ SESSION_OPERATORS = ("ingest", "assess", "act")
 
 @dataclass(frozen=True)
 class FlowState:
-    """Immutable snapshot of a flow: per-operator states plus the event cursor."""
+    """Immutable snapshot of a flow: operator states, event cursor and held events."""
 
     flow_id: str
     operator_states: tuple[tuple[str, int], ...]
     cursor: int
     origin: NodeId
+    pending: tuple[int, ...] = ()  # held past a gap, ascending; they migrate with the flow
 
     def __post_init__(self):
         if self.cursor < 0:
@@ -127,16 +129,16 @@ class FlowInstance:
         self.operator_states = (dict.fromkeys(operators, 0) if operator_states is None
                                 else dict(operator_states))
         self.cursor = cursor
-        self.pending: dict[int, object] = {}
+        self.pending: set[int] = set()
         self.processed_log: list[int] = []
 
-    def offer(self, seq: int, payload: object = None) -> list[int]:
+    def offer(self, seq: int) -> list[int]:
         if seq <= self.cursor or seq in self.pending:
             return []
-        self.pending[seq] = payload
+        self.pending.add(seq)
         done: list[int] = []
         while (nxt := self.cursor + 1) in self.pending:
-            self.pending.pop(nxt)
+            self.pending.remove(nxt)
             for op in self.operator_states:
                 self.operator_states[op] += 1
             self.cursor = nxt
@@ -150,15 +152,19 @@ class FlowInstance:
             operator_states=tuple(sorted(self.operator_states.items())),
             cursor=self.cursor,
             origin=self.home,
+            pending=tuple(sorted(self.pending)),
         )
 
     @classmethod
     def restore(cls, state: FlowState, home: NodeId) -> "FlowInstance":
-        """Rebuild a flow from its snapshot, which names its own operators."""
-        return cls(
+        """Rebuild a flow from its snapshot, which names its operators and held events."""
+        instance = cls(
             state.flow_id, (), home,
             operator_states=dict(state.operator_states), cursor=state.cursor,
         )
+        for seq in state.pending:
+            instance.offer(seq)
+        return instance
 
 
 class FogNode:
@@ -190,10 +196,10 @@ class FogNode:
         self.install_flow(instance)
         return instance
 
-    def offer_event(self, flow_id: str, seq: int, payload: object = None):
+    def offer_event(self, flow_id: str, seq: int):
         """Feed one event; returns ('processed', seqs) or ('forward', target)."""
         if flow_id in self.flows:
-            return "processed", self.flows[flow_id].offer(seq, payload)
+            return "processed", self.flows[flow_id].offer(seq)
         if flow_id in self.forwarding:
             return "forward", self.forwarding[flow_id]
         raise FlowNotResident(flow_id)
@@ -205,30 +211,24 @@ class FogNode:
         self._reservations.add(flow_id)
         return True
 
-    def release_flow(self, flow_id: str,
-                     forward_to: NodeId) -> tuple[FlowState, list[tuple[int, object]]]:
+    def release_flow(self, flow_id: str, forward_to: NodeId) -> FlowState:
         """Hand a flow off: drop it, leaving a stub to ``forward_to``.
 
-        Returns its state snapshot and the buffered events that travel with it.
+        Returns its snapshot, which carries the events it holds past a gap.
         """
         if flow_id not in self.flows:
             raise FlowNotResident(flow_id)
-        instance = self.flows.pop(flow_id)
         self.forwarding[flow_id] = forward_to
-        return instance.snapshot(), sorted(instance.pending.items())
+        return self.flows.pop(flow_id).snapshot()
 
-    def reinstall_flow(self, state: FlowState,
-                       pending: list[tuple[int, object]] = ()) -> FlowInstance:
-        """Install a flow from its snapshot and replay the events that came with it."""
+    def reinstall_flow(self, state: FlowState) -> FlowInstance:
+        """Install a flow from its snapshot, held events included."""
         instance = FlowInstance.restore(state, self.node)
         self.install_flow(instance)
-        for seq, payload in pending:
-            instance.offer(seq, payload)
         return instance
 
 
-def on_migration_end(host: FogNode, state: FlowState,
-                     pending: list[tuple[int, object]] = ()) -> str:
+def on_migration_end(host: FogNode, state: FlowState) -> str:
     """Install a migrated flow at the target; raises CapacityExceeded late.
 
     A reservation taken at accept time is consumed here; without one the
@@ -240,7 +240,7 @@ def on_migration_end(host: FogNode, state: FlowState,
         raise CapacityExceeded(
             f"{host.node}: queue {host.pile.queue_len} of {host.capacity}"
         )
-    host.reinstall_flow(state, pending)
+    host.reinstall_flow(state)
     return f"ack:{state.flow_id}"
 
 
@@ -265,7 +265,6 @@ class MigrationStep:
     kind: str  # not-needed | send-start | send-state | done | failed
     target: NodeId | None = None
     state: FlowState | None = None
-    pending: tuple = ()
     outcome: MigrationOutcome | None = None
 
 
@@ -308,17 +307,14 @@ class MigrationSourceSession:
             raise RuntimeError("no outstanding candidate")
         if not accept:
             return self._next_candidate()
-        state, leftovers = self.host.release_flow(self.flow_id, forward_to=self.current)
-        return MigrationStep(
-            "send-state", target=self.current, state=state, pending=tuple(leftovers)
-        )
+        state = self.host.release_flow(self.flow_id, forward_to=self.current)
+        return MigrationStep("send-state", target=self.current, state=state)
 
-    def on_ack(self, ok: bool, bounced_state: FlowState | None = None,
-               bounced_pending: tuple = ()) -> MigrationStep:
+    def on_ack(self, ok: bool, bounced_state: FlowState | None = None) -> MigrationStep:
         if ok:
             outcome = MigrationOutcome("migrated", target=self.current, attempts=self.attempts)
             return MigrationStep("done", target=self.current, outcome=outcome)
-        self.host.reinstall_flow(bounced_state, list(bounced_pending))
+        self.host.reinstall_flow(bounced_state)
         return self._next_candidate()
 
 
@@ -333,9 +329,9 @@ def migration_source(
     """Run the whole migration handshake synchronously.
 
     ``respond(candidate)`` answers the start-migration question; optional
-    ``deliver_state(candidate, state, pending)`` performs the state hand-off
-    and returns (ok, bounced_state, bounced_pending).  Without it the
-    hand-off always succeeds.
+    ``deliver_state(candidate, state)`` hands the snapshot, held events
+    included, to the candidate and returns (ok, bounced_state).  Without it
+    the hand-off always succeeds.
     """
     session = MigrationSourceSession(host, flow_id, policy)
     step = session.begin(observed_latency_ms)
@@ -348,10 +344,7 @@ def migration_source(
             if deliver_state is None:
                 step = session.on_ack(True)
             else:
-                ok, bounced, bounced_pending = deliver_state(
-                    step.target, step.state, step.pending
-                )
-                step = session.on_ack(ok, bounced, bounced_pending)
+                step = session.on_ack(*deliver_state(step.target, step.state))
         else:
             raise RuntimeError(f"unexpected step {step.kind}")
 
@@ -371,9 +364,11 @@ class MigrationResponse:
 
 @dataclass(frozen=True)
 class ObjectStateMsg:
-    flow_id: str
     state: FlowState
-    pending: tuple = ()
+
+    @property
+    def flow_id(self) -> str:
+        return self.state.flow_id
 
 
 @dataclass(frozen=True)
@@ -382,7 +377,6 @@ class MigrationAck:
     responder: NodeId
     ok: bool
     bounced_state: FlowState | None = None
-    bounced_pending: tuple = ()
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,6 @@ class _ReplyWindow:
     It files each reply as its pile sends it and waits for the deadline.
     """
 
-    request: ServiceRequest
     deadline: SimTime
     results: list[JobResult] = field(default_factory=list)
     last_arrival: SimTime | None = None
@@ -665,7 +664,7 @@ class Simulation:
             fnc_node = fnc_id(sector_index(request.origin, cfg.n_fnc))  # of its sector
             self.send_wireless(node, fnc_node, request, request.request_id)
         else:
-            window = _ReplyWindow(request, self.queue.clock + cfg.aggregation_timeout_ms)
+            window = _ReplyWindow(self.queue.clock + cfg.aggregation_timeout_ms)
             self._windows[request.request_id] = window
             self._broadcast(request)
             self.queue.schedule(window.deadline, node, _Deadline(request.request_id))
@@ -926,7 +925,7 @@ class Simulation:
         if step.kind == "send-start":
             self.send_wired(source, step.target, StartMigration(flow_id, source))
         elif step.kind == "send-state":
-            self.send_wired(source, step.target, ObjectStateMsg(flow_id, step.state, step.pending))
+            self.send_wired(source, step.target, ObjectStateMsg(step.state))
         elif step.kind in ("done", "failed", "not-needed"):
             outcome = step.outcome
             self.audits.append(
@@ -958,20 +957,15 @@ class Simulation:
     def _object_state_at_target(self, target: NodeId, msg: ObjectStateMsg):
         host = self.piles[target]
         try:
-            on_migration_end(host, msg.state, list(msg.pending))
+            on_migration_end(host, msg.state)
             ack = MigrationAck(msg.flow_id, target, ok=True)
         except CapacityExceeded:
-            ack = MigrationAck(
-                msg.flow_id, target, ok=False,
-                bounced_state=msg.state, bounced_pending=msg.pending,
-            )
+            ack = MigrationAck(msg.flow_id, target, ok=False, bounced_state=msg.state)
         self.send_wired(target, msg.state.origin, ack)
 
     def _migration_ack_at_source(self, source: NodeId, msg: MigrationAck):
         session = self._active_migrations[msg.flow_id][0]
-        self._run_migration_step(
-            msg.flow_id, session.on_ack(msg.ok, msg.bounced_state, msg.bounced_pending)
-        )
+        self._run_migration_step(msg.flow_id, session.on_ack(msg.ok, msg.bounced_state))
 
     # Per architecture, the handler of each payload type at its event's target.
     _ROUTES = {

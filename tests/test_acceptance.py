@@ -199,9 +199,9 @@ def test_acceptance_5_migration_state_machine(caplog):
     src.create_flow("f")
     asked = []
 
-    def deliver(candidate, state, pending):
-        on_migration_end(dst, state, pending=list(pending))
-        return True, None, ()
+    def deliver(candidate, state):
+        on_migration_end(dst, state)
+        return True, None
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1), fog_id(2)))
     outcome = migration_source(src, "f", 80.0, policy,
@@ -220,9 +220,9 @@ def test_acceptance_5_migration_state_machine(caplog):
     src.create_flow("f")
     asked = []
 
-    def deliver2(candidate, state, pending):
-        on_migration_end(dst2, state, pending=list(pending))
-        return True, None, ()
+    def deliver2(candidate, state):
+        on_migration_end(dst2, state)
+        return True, None
 
     policy = MigrationPolicy(t_upper=50.0,
                              candidates=(fog_id(1), fog_id(2), fog_id(3)))
@@ -277,9 +277,9 @@ def test_acceptance_6_exactly_once_across_migration():
     for seq in range(1, 401):
         inst.offer(seq)
 
-    def deliver(candidate, state, pending):
-        on_migration_end(dst, state, pending=list(pending))
-        return True, None, ()
+    def deliver(candidate, state):
+        on_migration_end(dst, state)
+        return True, None
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1),))
     outcome = migration_source(src, "f", 99.0, policy,

@@ -101,17 +101,17 @@ def test_flow_instance_reorders_and_dedupes():
 def test_snapshot_restore_round_trip():
     src = host(0)
     inst = src.create_flow("f1")
-    for seq in range(1, 8):
+    for seq in [*range(1, 8), 9, 10]:  # 8 is late, so 9 and 10 wait past the gap
         inst.offer(seq)
-    state, leftovers = src.release_flow("f1", forward_to=fog_id(1))
+    state = src.release_flow("f1", forward_to=fog_id(1))
     assert len(state.operator_states) == 3
     assert state.cursor == 7
-    assert leftovers == []
+    assert state.pending == (9, 10)
     restored = FlowInstance.restore(state, fog_id(1))
     assert restored.snapshot().operator_states == state.operator_states
     assert restored.snapshot().cursor == state.cursor
-    assert restored.offer(8) == [8]
-    assert restored.operator_states == {"ingest": 8, "assess": 8, "act": 8}
+    assert restored.offer(8) == [8, 9, 10]
+    assert restored.operator_states == {"ingest": 10, "assess": 10, "act": 10}
 
 
 def test_below_threshold_not_needed():
@@ -205,7 +205,7 @@ def test_migration_end_installs_at_target():
     inst = src.create_flow("f1")
     for seq in range(1, 5):
         inst.offer(seq)
-    state, _ = src.release_flow("f1", forward_to=dst.node)
+    state = src.release_flow("f1", forward_to=dst.node)
     ack = on_migration_end(dst, state)
     assert ack == "ack:f1"
     assert dst.has_flow("f1")
@@ -215,7 +215,7 @@ def test_migration_end_installs_at_target():
 def test_migration_end_full_target_rejects():
     src = host(0)
     src.create_flow("f1")
-    state, _ = src.release_flow("f1", forward_to=fog_id(1))
+    state = src.release_flow("f1", forward_to=fog_id(1))
     full = host(1, queue_len=8, capacity=8)
     with pytest.raises(CapacityExceeded):
         on_migration_end(full, state)
@@ -228,12 +228,12 @@ def test_late_reject_bounces_back_and_retries():
     ok = host(2)
     targets = {fog_id(1): full, fog_id(2): ok}
 
-    def deliver(candidate, state, pending):
+    def deliver(candidate, state):
         try:
-            on_migration_end(targets[candidate], state, pending=list(pending))
-            return True, None, ()
+            on_migration_end(targets[candidate], state)
+            return True, None
         except CapacityExceeded:
-            return False, state, pending
+            return False, state
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1), fog_id(2)))
     outcome = migration_source(src, "f1", 80.0, policy, respond=lambda c: True, deliver_state=deliver)
@@ -250,7 +250,7 @@ def test_reservation_survives_queue_growth():
     dst.pile.queue_len = 8  # fills up between accept and state arrival
     src = host(0)
     src.create_flow("f1")
-    state, _ = src.release_flow("f1", forward_to=dst.node)
+    state = src.release_flow("f1", forward_to=dst.node)
     assert on_migration_end(dst, state) == "ack:f1"
 
 
@@ -293,9 +293,9 @@ def test_exactly_once_with_mid_stream_migration():
     for seq in range(1, 41):
         inst.offer(seq)
 
-    def deliver(candidate, state, pending):
-        on_migration_end(dst, state, pending=list(pending))
-        return True, None, ()
+    def deliver(candidate, state):
+        on_migration_end(dst, state)
+        return True, None
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1),))
     outcome = migration_source(src, "f1", 80.0, policy, respond=lambda c: True, deliver_state=deliver)

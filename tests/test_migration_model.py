@@ -14,7 +14,7 @@ After every step, for each flow:
   flight between two piles;
 - its instances' ``processed_log``s, oldest instance first, read 1..n, so no
   event is processed twice or skipped; every event offered so far is either
-  processed or held, by its flow or in the state in flight; and while no
+  processed or held, by its flow or in the snapshot in flight; and while no
   state is in flight, n is the longest run 1..n of events offered so far.
 """
 
@@ -47,7 +47,7 @@ class _Books:
         self.instances = []  # every instance that has held the flow, oldest first
         self.session: MigrationSourceSession | None = None
         self.step = None  # the session's last step while it runs
-        self.ack = None  # (ok, bounced_state, bounced_pending) on its way to the source
+        self.ack = None  # (ok, bounced_state) on its way to the source
 
     def waits_for(self) -> str:
         """What moves the flow's migration on next; "begin" when none runs."""
@@ -175,10 +175,10 @@ class MigrationModel(RuleBasedStateMachine):
         flow, books = self._pick("hand-off", pick)
         step = books.step
         try:
-            on_migration_end(self.hosts[step.target], step.state, list(step.pending))
-            books.ack = (True, None, ())
+            on_migration_end(self.hosts[step.target], step.state)
+            books.ack = (True, None)
         except CapacityExceeded:
-            books.ack = (False, step.state, step.pending)
+            books.ack = (False, step.state)
 
     @precondition(lambda self: self._waiting("ack"))
     @rule(pick=picks)
@@ -202,9 +202,8 @@ class MigrationModel(RuleBasedStateMachine):
             assert processed == list(range(1, len(processed) + 1)), (flow, processed)
             if residents:
                 held = set(residents[0].flows[flow].pending)
-            else:  # the events that wait at the source travel with its state
-                held = {seq for seq, _ in (books.step.pending if books.ack is None
-                                           else books.ack[2])}
+            else:  # the events the flow holds travel in its snapshot
+                held = set((books.step.state if books.ack is None else books.ack[1]).pending)
             assert books.offered <= held.union(processed), (flow, held, processed)
             if not books.in_flight():
                 run = 0

@@ -10,13 +10,13 @@ import pytest
 
 from gridfog import scenario
 from gridfog.engine import LatencyModel, link_latency
-from gridfog.errors import InvariantViolation
+from gridfog.errors import CapacityExceeded, InvariantViolation
 from gridfog.fognode import evaluate_charging_request
 from gridfog.harness import SweepSpec, run_sweep
 from gridfog.messages import (
     JobDispatch, JobResult, LatencyComplaint, ServiceRequest, StatusReportMsg)
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
-from gridfog.topology import PileIndex, Point2D, Registry
+from gridfog.topology import PileIndex, Point2D, Registry, fog_id
 
 
 def small_config(**overrides):
@@ -990,7 +990,7 @@ def _relabel_replies_as_jobs(sim):
     ("pile load", lambda sim: setattr(next(iter(sim.piles.values())).pile, "queue_len", 99)),
     ("flows", lambda sim: next(iter(sim.piles.values()))._reservations.add("flow-x")),
     ("windows", lambda sim: sim._windows.update(
-        stale=scenario._ReplyWindow(None, sim.horizon))),
+        stale=scenario._ReplyWindow(sim.horizon))),
     ("messages", lambda sim: sim.sent.update({ServiceRequest: sim.sent[ServiceRequest] + 1})),
     pytest.param("messages", lambda sim: sim.send_wired(
         next(iter(sim.piles)), next(iter(sim.registries)), _Stray()), id="messages-stray-send"),
@@ -1107,6 +1107,33 @@ def test_migrated_flows_end_resident_on_their_serving_pile(seed):
         assert hosts == [term.serving_pile]
     for pile in sim.piles.values():
         assert not pile._reservations
+    sim._check_conservation()
+
+
+def test_a_state_refused_late_goes_back_to_its_source_and_migrates_on(monkeypatch):
+    # The first state to arrive is refused once it lands.  As on_migration_end
+    # does, the stand-in consumes the target's reservation before it refuses,
+    # and the target sends the state back.  The source reinstalls the flow and
+    # asks its next candidate.
+    install = scenario.on_migration_end
+    refused = []
+
+    def refuse_first(host, state):
+        if refused:
+            return install(host, state)
+        refused.append((state.flow_id, host.node))
+        host._reservations.discard(state.flow_id)
+        raise CapacityExceeded(f"{host.node}: full when the state arrived")
+
+    monkeypatch.setattr(scenario, "on_migration_end", refuse_first)
+    sim = Simulation(small_config(seed=1, architecture="coordinated", t_upper_ms=1.0),
+                     trace=[]).run()
+    assert refused == [("flow-terminal-18", fog_id(9))]
+    assert any(t.kind == "MigrationAck" and (t.src, t.dst) == (fog_id(9), fog_id(8))
+               for t in sim.trace)
+    audit = next(a for a in sim.audits if a.flow_id == "flow-terminal-18")
+    assert (audit.source, audit.target, audit.outcome, audit.attempts) == (
+        fog_id(8), fog_id(3), "migrated", 2)
     sim._check_conservation()
 
 

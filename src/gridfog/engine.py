@@ -3,6 +3,13 @@
 Virtual time is a float number of milliseconds.  The queue processes events
 in strict ``(fire_at, seq)`` order, where ``seq`` is the scheduling sequence
 number, so simultaneous events run FIFO and every run is reproducible.
+
+Each named random stream draws numpy's ``PCG64`` bits, seeded as
+``SeedSequence([seed, entropy(name)])`` would seed it.  A run derives the
+streams its set-up draws from in one batch, which reproduces numpy's
+``SeedSequence`` mixing and ``PCG64`` seeding without building either object
+per stream; ``tests/test_simcore.py`` checks the batch, and a stream derived
+alone, against numpy's own objects.
 """
 
 from __future__ import annotations
@@ -10,8 +17,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -149,38 +157,158 @@ def _stream_entropy(name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seed(seed: int, entropy):
+    """``PCG64(SeedSequence([seed & (2**64 - 1), entropy]))``'s ``(state, inc)``.
+
+    ``entropy`` is an int below 2**64, or a ``uint64`` array of them, one
+    per stream; for an array the result is a list of pairs.  numpy's hash
+    mix runs on the ints, or once over the whole array masked to 32 bits,
+    and ``pcg64_set_seed``'s two LCG steps run in Python ints.  The entropy
+    words are the seed's one or two 32-bit words, then the entropy's two;
+    the pool holds four, and a word that numpy leaves out because the value
+    is short (an entropy below 2**32) mixes exactly as the zero word it is here.
+    """
+    seed &= _MASK64
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    pool = [*seed_words, entropy & _MASK32, entropy >> 32, *[0] * (2 - len(seed_words))]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src]) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    # ``generate_state(4, uint64)``: eight 32-bit words, low word first.
+    hash_const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    halves = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+    def seeded(hi, lo, inc_hi, inc_lo):
+        inc = (inc_hi << 64 | inc_lo) << 1 & _MASK128 | 1
+        return ((hi << 64 | lo) + inc) * _PCG_MULT + inc & _MASK128, inc
+
+    if isinstance(entropy, int):
+        return seeded(*halves)
+    return [seeded(*row) for row in zip(*(half.tolist() for half in halves))]
+
+
+def stream_states(seed: int, names: list[str]) -> list[tuple[int, int]]:
+    """Each named stream's PCG64 ``(state, inc)`` under ``seed``, derived in one batch.
+
+    Equal bit for bit to ``PCG64(SeedSequence([seed & (2**64 - 1),
+    _stream_entropy(name)]))``, as a stream derived alone is.
+    """
+    return _pcg64_seed(seed, np.array([_stream_entropy(name) for name in names], dtype=np.uint64))
+
+
+@cache
+def _generator():
+    """The one numpy ``Generator`` that draws for every stream; ``numpy.random`` loads here.
+
+    Each use sets its whole state first, so no draw sees another stream's
+    bits; like the event queue, it serves one thread.
+    """
+    return np.random.Generator(np.random.PCG64(0))
+
+
+@dataclass(slots=True)
 class RngStream:
     """A named, reproducible random stream derived from a root seed.
 
     Identical ``(seed, name)`` pairs always yield identical sequences, and
     distinct names give independent streams, so adding a node (a new name)
-    never perturbs the draws of existing nodes.
+    never perturbs the draws of existing nodes.  The bits are numpy's
+    ``Generator(PCG64(SeedSequence(...)))``'s: ``random`` steps the PCG64
+    state in Python, and the other draws run numpy's own code on one shared
+    generator set to this stream's state.
+
+    ``state`` and ``inc`` are the PCG64 state; ``None`` derives it from the
+    seed and name.  ``children`` holds the states of children derived in one
+    batch by :meth:`with_children`, until :meth:`child` hands each out.
     """
 
     seed: int
     name: str = "root"
-    _gen: np.random.Generator = field(init=False, repr=False)
+    state: int | None = field(default=None, repr=False)
+    inc: int = field(default=0, repr=False)
+    children: dict[str, tuple[int, int]] | None = field(default=None, repr=False,
+                                                         compare=False)
+    # numpy's buffered upper half of a 64-bit draw, as (has_uint32, uinteger)
+    _uint32: tuple[int, int] = field(default=(0, 0), init=False, repr=False)
 
     def __post_init__(self):
-        ss = np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, _stream_entropy(self.name)])
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        if self.state is None:
+            self.state, self.inc = _pcg64_seed(self.seed, _stream_entropy(self.name))
+
+    @classmethod
+    def with_children(cls, seed: int, names: list[str]) -> "RngStream":
+        """The root stream of ``seed``, holding the states of its children ``names``."""
+        (state, inc), *states = stream_states(seed, ["root", *(f"root/{n}" for n in names)])
+        return cls(seed, "root", state, inc, dict(zip(names, states)))
 
     def child(self, name: str) -> "RngStream":
-        return RngStream(self.seed, f"{self.name}/{name}")
+        """Stream ``name`` under this one; a state from the batch is handed out once."""
+        state, inc = None, 0
+        if self.children and name in self.children:
+            state, inc = self.children.pop(name)
+            if not self.children:  # every batch state is out: drop the emptied table
+                self.children = None
+        return RngStream(self.seed, f"{self.name}/{name}", state, inc)
 
     def random(self) -> float:
-        return float(self._gen.random())
+        """Uniform in ``[0, 1)``: one LCG step, the XSL-RR output, its top 53 bits."""
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        word, rot = (state >> 64) ^ (state & _MASK64), state >> 122
+        out = ((word >> rot) | (word << (64 - rot))) & _MASK64
+        return (out >> 11) * 2.0**-53
 
-    def exponential(self, mean: float) -> float:
-        return float(self._gen.exponential(mean))
+    def _numpy(self, method: str, *args):
+        """``Generator.<method>(*args)`` on this stream's bits; the stream moves past them."""
+        gen = _generator()
+        bits = gen.bit_generator
+        bits.state = {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
+                      "has_uint32": self._uint32[0], "uinteger": self._uint32[1]}
+        out = getattr(gen, method)(*args)
+        after = bits.state
+        self.state = after["state"]["state"]
+        self._uint32 = after["has_uint32"], after["uinteger"]
+        return out
+
+    def exponentials(self, mean: float) -> Iterator[float]:
+        """Endless ``exponential(mean)`` draws, fetched from numpy in doubling batches.
+
+        The stream moves past a whole batch when it fetches it, drawn or not.
+        """
+        size = 8
+        while True:
+            yield from self._numpy("exponential", mean, size).tolist()
+            size *= 2
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high)``."""
-        return int(self._gen.integers(low, high))
+        return int(self._numpy("integers", low, high))
 
     def disk_point(self, cx: float, cy: float, radius: float) -> tuple[float, float]:
         """Uniform point inside the disk, via the sqrt-radius polar draw."""
-        r = radius * math.sqrt(self._gen.random())
-        theta = self._gen.random() * 2.0 * math.pi
+        r = radius * math.sqrt(self.random())
+        theta = self.random() * 2.0 * math.pi
         return cx + r * math.cos(theta), cy + r * math.sin(theta)

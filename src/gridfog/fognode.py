@@ -310,8 +310,9 @@ class MigrationSourceSession:
         state = self.host.release_flow(self.flow_id, forward_to=self.current)
         return MigrationStep("send-state", target=self.current, state=state)
 
-    def on_ack(self, ok: bool, bounced_state: FlowState | None = None) -> MigrationStep:
-        if ok:
+    def on_ack(self, bounced_state: FlowState | None = None) -> MigrationStep:
+        """The target kept the flow, or bounced its state back to be reinstalled here."""
+        if bounced_state is None:
             outcome = MigrationOutcome("migrated", target=self.current, attempts=self.attempts)
             return MigrationStep("done", target=self.current, outcome=outcome)
         self.host.reinstall_flow(bounced_state)
@@ -330,8 +331,8 @@ def migration_source(
 
     ``respond(candidate)`` answers the start-migration question; optional
     ``deliver_state(candidate, state)`` hands the snapshot, held events
-    included, to the candidate and returns (ok, bounced_state).  Without it
-    the hand-off always succeeds.
+    included, to the candidate and returns the state if the candidate
+    bounced it, else ``None``.  Without it the hand-off always succeeds.
     """
     session = MigrationSourceSession(host, flow_id, policy)
     step = session.begin(observed_latency_ms)
@@ -341,10 +342,8 @@ def migration_source(
         if step.kind == "send-start":
             step = session.on_response(bool(respond(step.target)))
         elif step.kind == "send-state":
-            if deliver_state is None:
-                step = session.on_ack(True)
-            else:
-                step = session.on_ack(*deliver_state(step.target, step.state))
+            bounced = None if deliver_state is None else deliver_state(step.target, step.state)
+            step = session.on_ack(bounced)
         else:
             raise RuntimeError(f"unexpected step {step.kind}")
 
@@ -375,8 +374,7 @@ class ObjectStateMsg:
 class MigrationAck:
     flow_id: str
     responder: NodeId
-    ok: bool
-    bounced_state: FlowState | None = None
+    bounced_state: FlowState | None = None  # the state a late reject sends back
 
 
 @dataclass(frozen=True)

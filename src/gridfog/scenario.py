@@ -57,9 +57,11 @@ from .topology import (
     Registry,
     ResourceProfile,
     fnc_id,
+    fog_id,
     place_nodes,
     report_status,
     sector_index,
+    terminal_id,
 )
 
 ARCHITECTURES = ("traditional", "coordinated")
@@ -341,7 +343,14 @@ class Simulation:
         self.config = config
         # Events due after this instant are never handled.
         self.horizon = config.sim_duration_ms + 2 * config.aggregation_timeout_ms + 10_000.0
-        self.rng = RngStream(config.seed)
+        terminals = [str(terminal_id(i)) for i in range(config.n_terminals)]
+        # The streams that set-up draws from, derived in one batch: each node's
+        # placement and each terminal's arrivals.  A waypoint stream derives
+        # itself when its terminal first aims: in a large short run most
+        # terminals never do, and holding every terminal's state costs memory.
+        self.rng = RngStream.with_children(config.seed, [
+            *terminals, *(str(fog_id(i)) for i in range(config.n_fog)),
+            *(f"arrivals/{node}" for node in terminals)])
         self.queue = EventQueue()
         self.channel = _WirelessChannel(config.wireless_air_ms)
         self.wireless = LatencyModel(
@@ -463,11 +472,12 @@ class Simulation:
         for node in self.terminals:
             arrivals = self.rng.child(f"arrivals/{node}")
             if cfg.request_rate > 0:
-                mean_gap = 60_000.0 / cfg.request_rate
-                t = arrivals.exponential(mean_gap)
-                while t < cfg.sim_duration_ms:
+                mean_gap, t = 60_000.0 / cfg.request_rate, 0.0
+                for gap in arrivals.exponentials(mean_gap):
+                    t += gap
+                    if t >= cfg.sim_duration_ms:
+                        break
                     self.queue.schedule(t, node, _RequestTick())
-                    t += arrivals.exponential(mean_gap)
         self._repeat(_MobilityTick(cfg.mobility_step_ms))
         if cfg.architecture == "coordinated":
             self._repeat(_ReportTick(cfg.report_period_ms))
@@ -958,14 +968,14 @@ class Simulation:
         host = self.piles[target]
         try:
             on_migration_end(host, msg.state)
-            ack = MigrationAck(msg.flow_id, target, ok=True)
+            ack = MigrationAck(msg.flow_id, target)
         except CapacityExceeded:
-            ack = MigrationAck(msg.flow_id, target, ok=False, bounced_state=msg.state)
+            ack = MigrationAck(msg.flow_id, target, bounced_state=msg.state)
         self.send_wired(target, msg.state.origin, ack)
 
     def _migration_ack_at_source(self, source: NodeId, msg: MigrationAck):
         session = self._active_migrations[msg.flow_id][0]
-        self._run_migration_step(msg.flow_id, session.on_ack(msg.ok, msg.bounced_state))
+        self._run_migration_step(msg.flow_id, session.on_ack(msg.bounced_state))
 
     # Per architecture, the handler of each payload type at its event's target.
     _ROUTES = {

@@ -201,7 +201,7 @@ def test_acceptance_5_migration_state_machine(caplog):
 
     def deliver(candidate, state):
         on_migration_end(dst, state)
-        return True, None
+        return None
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1), fog_id(2)))
     outcome = migration_source(src, "f", 80.0, policy,
@@ -222,7 +222,7 @@ def test_acceptance_5_migration_state_machine(caplog):
 
     def deliver2(candidate, state):
         on_migration_end(dst2, state)
-        return True, None
+        return None
 
     policy = MigrationPolicy(t_upper=50.0,
                              candidates=(fog_id(1), fog_id(2), fog_id(3)))
@@ -279,7 +279,7 @@ def test_acceptance_6_exactly_once_across_migration():
 
     def deliver(candidate, state):
         on_migration_end(dst, state)
-        return True, None
+        return None
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1),))
     outcome = migration_source(src, "f", 99.0, policy,

@@ -231,9 +231,9 @@ def test_late_reject_bounces_back_and_retries():
     def deliver(candidate, state):
         try:
             on_migration_end(targets[candidate], state)
-            return True, None
+            return None
         except CapacityExceeded:
-            return False, state
+            return state
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1), fog_id(2)))
     outcome = migration_source(src, "f1", 80.0, policy, respond=lambda c: True, deliver_state=deliver)
@@ -295,7 +295,7 @@ def test_exactly_once_with_mid_stream_migration():
 
     def deliver(candidate, state):
         on_migration_end(dst, state)
-        return True, None
+        return None
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1),))
     outcome = migration_source(src, "f1", 80.0, policy, respond=lambda c: True, deliver_state=deliver)

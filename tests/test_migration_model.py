@@ -24,6 +24,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from gridfog.errors import CapacityExceeded, FlowNotResident
 from gridfog.fognode import (
     FogNode,
+    MigrationAck,
     MigrationPolicy,
     MigrationSourceSession,
     PileState,
@@ -47,7 +48,7 @@ class _Books:
         self.instances = []  # every instance that has held the flow, oldest first
         self.session: MigrationSourceSession | None = None
         self.step = None  # the session's last step while it runs
-        self.ack = None  # (ok, bounced_state) on its way to the source
+        self.ack: MigrationAck | None = None  # on its way to the source
 
     def waits_for(self) -> str:
         """What moves the flow's migration on next; "begin" when none runs."""
@@ -60,7 +61,7 @@ class _Books:
     def in_flight(self) -> bool:
         """The state has left the source and is not installed anywhere yet."""
         waits_for = self.waits_for()
-        return waits_for == "hand-off" or waits_for == "ack" and not self.ack[0]
+        return waits_for == "hand-off" or waits_for == "ack" and self.ack.bounced_state is not None
 
 
 class MigrationModel(RuleBasedStateMachine):
@@ -176,9 +177,9 @@ class MigrationModel(RuleBasedStateMachine):
         step = books.step
         try:
             on_migration_end(self.hosts[step.target], step.state)
-            books.ack = (True, None)
+            books.ack = MigrationAck(flow, step.target)
         except CapacityExceeded:
-            books.ack = (False, step.state)
+            books.ack = MigrationAck(flow, step.target, bounced_state=step.state)
 
     @precondition(lambda self: self._waiting("ack"))
     @rule(pick=picks)
@@ -186,7 +187,7 @@ class MigrationModel(RuleBasedStateMachine):
         """The target's ack, or its bounce with the state, reaches the source."""
         flow, books = self._pick("ack", pick)
         ack, books.ack = books.ack, None
-        self._follow(flow, books.session.on_ack(*ack))
+        self._follow(flow, books.session.on_ack(ack.bounced_state))
 
     @invariant()
     def a_flow_is_resident_once(self):
@@ -203,7 +204,8 @@ class MigrationModel(RuleBasedStateMachine):
             if residents:
                 held = set(residents[0].flows[flow].pending)
             else:  # the events the flow holds travel in its snapshot
-                held = set((books.step.state if books.ack is None else books.ack[1]).pending)
+                state = books.step.state if books.ack is None else books.ack.bounced_state
+                held = set(state.pending)
             assert books.offered <= held.union(processed), (flow, held, processed)
             if not books.in_flight():
                 run = 0

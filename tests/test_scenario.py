@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from gridfog import scenario
+from gridfog import engine, scenario
 from gridfog.engine import LatencyModel, link_latency
 from gridfog.errors import CapacityExceeded, InvariantViolation
 from gridfog.fognode import evaluate_charging_request
@@ -381,6 +381,27 @@ def test_a_run_keeps_its_attributes_in_the_shared_key_dict(architecture):
     # New state belongs in an existing attribute's object, such as _Booking.
     sim = Simulation(small_config(architecture=architecture), trace=[]).run()
     assert len(vars(sim)) <= 30
+
+
+@pytest.mark.parametrize("architecture", ["traditional", "coordinated"])
+def test_a_run_derives_its_set_up_streams_in_one_batch(architecture, monkeypatch):
+    # Placement and arrivals come from one derivation; a stream built per
+    # node would call it again.  Only a walker's waypoint stream, built when
+    # it first aims, derives itself.
+    batches, alone = [], []
+    derive, seed_one = engine.stream_states, engine._pcg64_seed
+    monkeypatch.setattr(engine, "stream_states",
+                        lambda seed, names: batches.append(len(names)) or derive(seed, names))
+    monkeypatch.setattr(engine, "_pcg64_seed",
+                        lambda seed, entropy: alone.append(entropy) or seed_one(seed, entropy))
+    cfg = small_config(architecture=architecture)
+    sim = Simulation(cfg).run()
+    for node in sim.terminals:
+        sim.position(node)
+    assert batches == [1 + cfg.n_fog + 2 * cfg.n_terminals]  # the root, then each child
+    singles = [entropy for entropy in alone if isinstance(entropy, int)]
+    waypoints = [engine._stream_entropy(f"root/waypoint/{node}") for node in sim.terminals]
+    assert sorted(singles) == sorted(waypoints)
 
 
 def test_a_coordinated_run_indexes_its_piles_once(monkeypatch):

@@ -1,8 +1,14 @@
 """Discrete-event engine: virtual clock, event queue, link latency, seeded RNG.
 
 Virtual time is a float number of milliseconds.  The queue processes events
-in strict ``(fire_at, seq)`` order, where ``seq`` is the scheduling sequence
-number, so simultaneous events run FIFO and every run is reproducible.
+in ``(fire_at, parent_at, parent_seq, seq)`` order: ``seq`` is the
+scheduling sequence number, and the parent is the event being handled when
+the event was scheduled, ``(0.0, -1)`` at set-up.  Parents are handled in
+this order and number their children in order, so events stored by
+``schedule`` and ``schedule_reserved`` run exactly in ``(fire_at, seq)``
+order, simultaneous ones FIFO, and every run is reproducible.  The parent
+key also lets ``schedule_under`` store an event where a parent that is never
+stored would have queued it.
 
 Each named random stream draws numpy's ``PCG64`` bits, seeded as
 ``SeedSequence([seed, entropy(name)])`` would seed it.  A run derives the
@@ -32,18 +38,21 @@ SimTime = float
 class SimEvent(NamedTuple):
     """A scheduled delivery of ``payload`` to ``target`` at ``fire_at``.
 
-    The queue's heap holds events as they are: ``seq`` is unique, so tuple
-    ordering never reaches ``target`` or ``payload``.
+    ``(parent_at, parent_seq)`` is the key of the event that scheduled it.
+    The queue's heap holds events as they are: the first four fields are
+    unique, so tuple ordering never reaches ``target`` or ``payload``.
     """
 
     fire_at: SimTime
+    parent_at: SimTime
+    parent_seq: int
     seq: int
     target: Any
     payload: Any
 
 
-# ``_new_event((fire_at, seq, target, payload))`` equals ``SimEvent(...)``, but skips
-# the Python-level ``__new__`` that ``NamedTuple`` writes.
+# ``_new_event((fire_at, parent_at, parent_seq, seq, target, payload))`` equals
+# ``SimEvent(...)``, but skips the Python-level ``__new__`` that ``NamedTuple`` writes.
 _new_event = partial(tuple.__new__, SimEvent)
 
 
@@ -74,7 +83,7 @@ class EventQueue:
             raise SchedulingInPast(
                 f"fire_at={fire_at} is before clock={self.clock}"
             )
-        event = _new_event((fire_at, self._next_seq, target, payload))
+        event = _new_event((fire_at, self.clock, self.seq, self._next_seq, target, payload))
         self._next_seq += 1
         heapq.heappush(self._heap, event)
         return event
@@ -83,7 +92,9 @@ class EventQueue:
         """Take the next ``n`` sequence numbers without storing an event; returns the first.
 
         An event later stored at one of them with :meth:`schedule_reserved`
-        sorts among same-instant events where one scheduled now would have.
+        sorts among same-instant events where one scheduled now would have;
+        one stored under one with :meth:`schedule_under` sorts where an event
+        at that number would have scheduled it.
         """
         seq = self._next_seq
         self._next_seq += n
@@ -99,7 +110,25 @@ class EventQueue:
             raise SchedulingInPast(
                 f"fire_at={fire_at} is before clock={self.clock}"
             )
-        event = _new_event((fire_at, seq, target, payload))
+        event = _new_event((fire_at, self.clock, self.seq, seq, target, payload))
+        heapq.heappush(self._heap, event)
+        return event
+
+    def schedule_under(self, fire_at: SimTime, parent_at: SimTime, parent_seq: int,
+                       target: Any, payload: Any) -> SimEvent:
+        """Store an event as the one child of an unstored parent keyed ``(parent_at, parent_seq)``.
+
+        ``parent_seq`` is a number taken by :meth:`reserve`, and the event sorts
+        where that parent, handled at ``parent_at``, would have queued it.  It
+        takes the parent's number as its own, so it must schedule nothing.
+
+        Raises SchedulingInPast if ``fire_at`` precedes the current clock.
+        """
+        if fire_at < self.clock:
+            raise SchedulingInPast(
+                f"fire_at={fire_at} is before clock={self.clock}"
+            )
+        event = _new_event((fire_at, parent_at, parent_seq, parent_seq, target, payload))
         heapq.heappush(self._heap, event)
         return event
 

@@ -278,7 +278,11 @@ class _DrainTick:
 
 
 class _ComputeDone(NamedTuple):
+    """A pile's computation for a broadcast copy that reached it at ``(arrival, seq)``."""
+
     request: ServiceRequest
+    arrival: SimTime
+    seq: int
 
 
 _new_compute_done = partial(tuple.__new__, _ComputeDone)
@@ -311,14 +315,11 @@ class _Booking:
     """The books only a coordinated run keeps; a traditional run has none.
 
     ``links[fnc][pile]`` is an FNC–pile backhaul cost at no load, fixed at
-    set-up; ``hypot`` ignores signs, so it holds both ways.  Each pile logs
-    each load change as ``(clock, seq)`` of its event and the load before,
-    so a job is scored at its load when handled.  A reply row is held in a
-    heap keyed ``(handled_at, seq)`` until the event loop gets there.
+    set-up; ``hypot`` ignores signs, so it holds both ways.  A reply row is
+    held in a heap keyed ``(handled_at, seq)`` until the event loop gets there.
     """
 
     links: dict[NodeId, dict[NodeId, float]]  # per FNC, per pile
-    changes: dict[NodeId, list[tuple[SimTime, int, int]]]  # one log per pile
     last_report: dict[NodeId, StatusReportMsg]  # per pile
     held: list[tuple[SimTime, int, SendTrace]] = field(default_factory=list)
 
@@ -394,6 +395,10 @@ class Simulation:
                 service_rate=config.service_rate_per_hour,
             )
             self.piles[rec.node] = FogNode(pile, capacity=config.capacity)
+        # Each pile logs each load change as ``(clock, seq)`` of its event and
+        # the load before, so an FNC job or a broadcast copy reads the load it met.
+        self._load_log: dict[NodeId, list[tuple[SimTime, int, int]]] = {
+            node: [] for node in self.piles}
         self.pile_index = PileIndex(pile_records)
         self.registries = {fnc_id(k): Registry() for k in range(config.n_fnc)}
 
@@ -408,7 +413,6 @@ class Simulation:
             self._booking = booking = _Booking(
                 links={fnc: {rec.node: link_latency(self.backhaul, at[fnc], rec.location, 0.0)
                              for rec in pile_records} for fnc in self.registries},
-                changes={node: [] for node in self.piles},
                 last_report={node: StatusReportMsg(self._status_of(host, 0.0))
                              for node, host in self.piles.items()})
             # Only coordination reads a registry; each starts with a report of every pile.
@@ -588,6 +592,7 @@ class Simulation:
 
         In a traced coordinated run each event first traces the held reply rows keyed
         before its ``(fire_at, seq)``; one held in an event keys after it, by a later seq.
+        No coordinated event is stored by ``schedule_under``, so that pair orders them all.
         """
         if self.events_left is not None:
             return self
@@ -597,15 +602,21 @@ class Simulation:
             held, append = self._booking.held, self.trace.append
 
             def handle(event, handle_event=handle):
-                while held and held[0] < event[:2]:  # a row keyed at the event sorts after it
+                key = event.fire_at, event.seq  # a row held at the event's own key sorts after it
+                while held and held[0] < key:
                     append(heapq.heappop(held)[2])
                 handle_event(event)
         self.queue.run_until(self.horizon, handle)
         if holding:
             for *_, row in sorted(held):
                 append(row)
-        # Events still due past the horizon, queued or booked at send.
-        self.events_left = len(self.queue) + self._past_horizon
+        # Events still due past the horizon, queued or booked at send.  A queued
+        # computation whose copy reached a full pile by the horizon is none: the
+        # pile dropped the copy on arrival.
+        dropped = sum(self._full_at_arrival(event.target, event.payload) for event in sorted(
+            event for event in self.queue
+            if type(event.payload) is _ComputeDone and event.payload.arrival <= self.horizon))
+        self.events_left = len(self.queue) + self._past_horizon - dropped
         self._check_conservation()
         return self
 
@@ -633,11 +644,9 @@ class Simulation:
         self._repeat(tick)
 
     def _drain_piles(self, _, tick: _DrainTick):
-        logged = self._booking is not None
         for host in self.piles.values():
             if host.pile.queue_len > 0:
-                if logged:
-                    self._log_load(host.pile)
+                self._log_load(host.pile)
                 host.pile.queue_len -= 1
                 self._tally.drained += 1
         self._repeat(tick)
@@ -645,12 +654,15 @@ class Simulation:
     def _log_load(self, pile: PileState):
         """Log ``pile``'s load before the event being handled changes it, in its own log.
 
-        Only the jobs of open windows read a log, none from before the
-        oldest one's dispatch, so the pile's older entries go.
+        In a coordinated run only the jobs of open windows read a log, none
+        from before the oldest one's dispatch, so the pile's older entries go
+        here.  In a traditional run a pile's computations read its log in
+        arrival order, and each drops the entries before its arrival.
         """
-        changes, queue = self._booking.changes[pile.node], self.queue
-        oldest = next(iter(self._windows.values())).opened_at if self._windows else queue.clock
-        del changes[:bisect.bisect_left(changes, (oldest,))]
+        changes, queue = self._load_log[pile.node], self.queue
+        if self._booking is not None:
+            oldest = next(iter(self._windows.values())).opened_at if self._windows else queue.clock
+            del changes[:bisect.bisect_left(changes, (oldest,))]
         changes.append((queue.clock, queue.seq, pile.queue_len))
 
     # --------------------------------------------------------- requesting
@@ -686,17 +698,23 @@ class Simulation:
         channel slots one after another, nearest first, and each arrival
         adds ``link_latency``'s terms in its order, with the distance that
         ``PileIndex.within`` gives.  Sends are counted once for the request.
+
+        No event marks a copy's arrival: it takes the sequence number its event
+        would have, from one block in hit order, and the pile's computation is
+        queued ``compute_ms`` later under that key, where the arrival would have queued it.
         """
         queue, channel, piles, model = self.queue, self.channel, self.piles, self.wireless
         node, request_id = request.requester, request.request_id
         hits = self.pile_index.within(request.origin, request.query_range_m)
         clock, air, acquire = queue.clock, channel.air_ms, channel.acquire
         base, per_m, proc = model.base_ms, model.prop_ms_per_m, model.proc_ms_per_unit
-        schedule, traced = queue.schedule, self._traced
-        for distance, pile in hits:
+        schedule_under, traced = queue.schedule_under, self._traced
+        compute_ms = self.config.compute_ms
+        for seq, (distance, pile) in enumerate(hits, queue.reserve(len(hits))):
             load = float(piles[pile].pile.queue_len)
             arrival = acquire(clock) + air + ((base + per_m * distance) + proc * load)
-            schedule(arrival, pile, request)
+            schedule_under(arrival + compute_ms, arrival, seq, pile,
+                           _new_compute_done((request, arrival, seq)))
             if traced:
                 self.trace.append(SendTrace(clock, arrival, "wireless", node, pile, distance,
                                             load, "ServiceRequest", request_id))
@@ -801,7 +819,7 @@ class Simulation:
         as it would unskipped.
         """
         window = self._windows.pop(deadline.request_id)
-        request, jobs, changes = window.request, window.jobs, self._booking.changes
+        request, jobs, changes = window.request, window.jobs, self._load_log
         cfg, origin = self.config, request.origin
         weights, best, chosen = cfg.weights, math.inf, None
         w_dist, w_wait = weights
@@ -823,7 +841,6 @@ class Simulation:
         self.send_wireless(fnc_node, request.requester, reply, request.request_id)
 
     def _decision_at_terminal(self, node: NodeId, decision: Decision):
-        self._log_load(self.piles[decision.chosen].pile)
         self._complete(node, decision, self.queue.clock)
 
     def _failure_at_terminal(self, node: NodeId, notice: FailureNotice):
@@ -834,22 +851,33 @@ class Simulation:
         report_status(self.registries[fnc_node], msg.status)
 
     # ------------------------------------------------------- traditional
-    def _broadcast_at_pile(self, pile_node: NodeId, request: ServiceRequest):
-        host = self.piles[pile_node]
-        if host.pile.queue_len >= host.capacity:
-            return
-        self.queue.schedule(self.queue.clock + self.config.compute_ms, pile_node,
-                            _new_compute_done((request,)))
+    def _full_at_arrival(self, pile_node: NodeId, done: _ComputeDone) -> bool:
+        """Whether ``pile_node`` was full when ``done``'s copy reached it.
+
+        Its load then is the load before the first change in its log after the
+        copy's ``(arrival, seq)``, found by one bisection, else its load now.
+        A pile reads its log in arrival order, so the entries before go.
+        """
+        host, changes = self.piles[pile_node], self._load_log[pile_node]
+        load = host.pile.queue_len
+        if changes:  # most loads have not changed since the last read
+            after = bisect.bisect_left(changes, (done.arrival, done.seq + 1))
+            if after < len(changes):
+                load = changes[after][2]
+            del changes[:after]
+        return load >= host.capacity
 
     def _reply_to_terminal(self, pile_node: NodeId, done: _ComputeDone):
         """Score the request and file the reply with its terminal's window as it is sent.
 
-        Its arrival is ``send_wireless``'s, fixed at send, as a terminal has
-        no receiver load.  One due at or after the deadline misses the
-        window, as the deadline event, queued before any reply was sent,
-        fires first on a tie.  A reply due past the horizon counts in
-        ``events_left``.
+        A pile full when the copy arrived drops it.  The reply's arrival is
+        ``send_wireless``'s, fixed at send, as a terminal has no receiver
+        load.  One due at or after the deadline misses the window, as the
+        deadline event, queued before any reply was sent, fires first on a
+        tie.  A reply due past the horizon counts in ``events_left``.
         """
+        if self._full_at_arrival(pile_node, done):
+            return
         request, pile = done.request, self.piles[pile_node].pile
         result = evaluate_charging_request(request, pile, self.config.weights)
         requester, request_id = request.requester, request.request_id
@@ -890,7 +918,9 @@ class Simulation:
         outcome.decided_at = at
         outcome.latency_ms = at - outcome.issued_at
         outcome.chosen = decision.chosen
-        self.piles[decision.chosen].pile.queue_len += 1
+        pile = self.piles[decision.chosen].pile
+        self._log_load(pile)
+        pile.queue_len += 1
         cfg = self.config
         term = self.terminals[node]
         if term.flow_id is None:
@@ -983,7 +1013,6 @@ class Simulation:
             _RequestTick: _issue_request,
             _MobilityTick: _step_terminals,
             _DrainTick: _drain_piles,
-            ServiceRequest: _broadcast_at_pile,
             _ComputeDone: _reply_to_terminal,
             _Deadline: _window_close,
         },
@@ -1014,7 +1043,8 @@ class Simulation:
         """Raise InvariantViolation on the first conservation law the run breaks.
 
         A request or flow with a message still due past the horizon may be
-        caught mid-way; every other one must have come to rest.
+        caught mid-way; every other one must have come to rest.  A broadcast
+        window closes by the horizon, so a queued computation names no request.
         """
         due = set()
         for event in self.queue:

@@ -93,6 +93,12 @@ CONFIGS = {
     "traditional-full-piles-instant": dict(
         architecture="traditional", capacity=1, wireless_air_ms=0.0,
         wireless_prop_ms_per_m=0.0),
+    # Computations so long that copies arriving at different instants are due
+    # at one: the sums round together, so each must run where its arrival
+    # would have queued it, and their replies take the channel in that order.
+    "traditional-computations-round-together": dict(
+        architecture="traditional", compute_ms=2.0**47, aggregation_timeout_ms=2.0**48,
+        n_fog=20, wireless_prop_ms_per_m=0.5, request_rate=30.0, sim_duration_ms=20_000.0),
 }
 
 GOLDEN = {
@@ -112,6 +118,7 @@ GOLDEN = {
     "coordinated-load-moves": "6e2e93d0cbb41c2233709269245e4f0be9e8d33dcb1a7a0ec2bf60db0b3cf91e",
     "coordinated-load-decides": "3ff69f348dea067ca3cf5941e74df21adf0101c3efd069283cea42e71b81d3c5",
     "traditional-full-piles-instant": "0f293d2a075471f3ec4705bae646309dd3755172fb94d851716c03de4ce26c37",
+    "traditional-computations-round-together": "e374f231a03e1ee548bd2740336be8f695a9d9ac5ea0150b7226d9605c74e52f",
 }
 
 

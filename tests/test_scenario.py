@@ -37,19 +37,28 @@ def test_an_integer_field_takes_only_an_integer(field, value):
 def run_noting_origins(config, **kwargs):
     """Run ``config``; also return each request's origin, as the run sent it.
 
-    Both architectures queue every request they send, to its FNC or to each
-    pile in range, so the origin is noted where the queue takes it.
+    A coordinated run queues each request it sends to its FNC, and a
+    traditional one queues each copy's computation at a pile in range with the
+    request in it, so the origin is noted where the queue takes either.
     """
     sim = Simulation(config, **kwargs)
     origins = {}
-    schedule = sim.queue.schedule
+    schedule, schedule_under = sim.queue.schedule, sim.queue.schedule_under
+
+    def note(payload):
+        request = payload.request if isinstance(payload, scenario._ComputeDone) else payload
+        if isinstance(request, ServiceRequest):
+            origins[request.request_id] = request.origin
 
     def spy(fire_at, target, payload):
-        if isinstance(payload, ServiceRequest):
-            origins[payload.request_id] = payload.origin
+        note(payload)
         return schedule(fire_at, target, payload)
 
-    sim.queue.schedule = spy
+    def spy_under(fire_at, parent_at, parent_seq, target, payload):
+        note(payload)
+        return schedule_under(fire_at, parent_at, parent_seq, target, payload)
+
+    sim.queue.schedule, sim.queue.schedule_under = spy, spy_under
     return sim.run(), origins
 
 
@@ -468,9 +477,11 @@ def test_wireless_sends_use_the_terminal_position_at_send_time(architecture):
 def broadcast_one_way(sim, terminals, one_loop):
     """Broadcast one request from each of ``terminals``, with ``_broadcast`` or per pile.
 
-    Returns the queued requests, the channel's ``free_at`` and the trace rows,
-    each as its repr, which spells every float to the bit, then
-    ``messages_total`` and each probe's ``messages_used``.
+    Returns each copy's ``(pile, request, arrival, seq)``, then the channel's
+    ``free_at`` and the trace rows, each as its repr, which spells every float
+    to the bit, then ``messages_total`` and each probe's ``messages_used``.
+    A per-pile send queues an arrival event; ``_broadcast`` queues the
+    computation ``compute_ms`` later, keyed under the arrival that it carries.
     """
     clock, sent = sim.queue.clock, []
     for seq, node in enumerate(terminals):
@@ -484,10 +495,18 @@ def broadcast_one_way(sim, terminals, one_loop):
         else:
             for _, pile in sim.pile_index.within(request.origin, request.query_range_m):
                 sim.send_wireless(node, pile, request, request.request_id)
-    events = sorted(e for e in sim.queue if isinstance(e.payload, ServiceRequest))
+    copies = []
+    for e in sorted(sim.queue):
+        if isinstance(e.payload, ServiceRequest):
+            copies.append((e.target, e.payload, e.fire_at, e.seq))
+        elif isinstance(e.payload, scenario._ComputeDone):
+            request, arrival, seq = e.payload
+            assert (e.fire_at, e.parent_at, e.parent_seq) == (
+                arrival + sim.config.compute_ms, arrival, seq)
+            copies.append((e.target, request, arrival, seq))
     used = [sim._outcome_by_id[r.request_id].messages_used for r in sent]
-    return ([repr(e) for e in events], repr(sim.channel.free_at), [repr(t) for t in sim.trace],
-            sim.messages_total, used)
+    return ([repr(copy) for copy in copies], repr(sim.channel.free_at),
+            [repr(t) for t in sim.trace], sim.messages_total, used)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -720,6 +739,58 @@ def test_events_left_counts_fnc_replies_due_past_the_horizon():
     assert replies_past_horizon(sim) > 0 and repeats > 0 and unhandled > 0
     assert sim.events_left == (len(sim.queue) + replies_past_horizon(sim) + repeats
                                + unhandled) == 575
+
+
+def test_events_left_leaves_out_a_copy_a_full_pile_dropped_by_the_horizon():
+    # With capacity 1 and no drain, a chosen pile stays full, and a copy to it
+    # pays 20 s of receiver load, so copies sent late in the run reach it
+    # after the run's last decision.  A full pile drops a copy on arrival:
+    # one that arrives by the horizon leaves nothing due, even when its
+    # computation would have fallen past the horizon.  Every other copy
+    # whose arrival or computation falls past the horizon counts.
+    cfg = ScenarioConfig(seed=1, architecture="traditional", capacity=1,
+                         proc_ms_per_unit=20_000.0, compute_ms=5_000.0,
+                         aggregation_timeout_ms=6_000.0, service_rate_per_hour=1.0)
+    sim = Simulation(cfg, trace=[]).run()
+    horizon = sim.horizon
+    assert cfg.sim_duration_ms + cfg.aggregation_timeout_ms < horizon  # every window shut
+    chosen_at = [(o.issued_at + cfg.aggregation_timeout_ms, o.chosen)
+                 for o in sim.outcomes if o.completed]
+
+    def full_at(pile, instant):
+        return sum(at < instant for at, chosen in chosen_at if chosen == pile) >= cfg.capacity
+
+    copies = [t for t in sim.trace if t.kind == "ServiceRequest"]
+    arrived = [t for t in copies if t.arrives_at <= horizon]
+    due = [t for t in arrived if t.arrives_at + cfg.compute_ms > horizon]
+    dropped = [t for t in due if full_at(t.dst, t.arrives_at)]
+    assert dropped
+    assert sim.events_left == (len(copies) - len(arrived) + len(due) - len(dropped)
+                               + replies_past_horizon(sim)) == 39
+
+
+def test_a_traditional_load_log_stays_short_as_the_run_grows():
+    # Dense requests and a drain every 2 s change loads often.  A pile's
+    # computations read its log in arrival order and drop what they pass, so
+    # the longest log is no longer in a run four times as long.
+    def run(duration_ms):
+        sim = Simulation(ScenarioConfig(seed=1, architecture="traditional", request_rate=16.0,
+                                        service_rate_per_hour=1800.0,
+                                        sim_duration_ms=duration_ms))
+        log_load, longest = sim._log_load, [0]
+
+        def spy(pile):
+            log_load(pile)
+            longest[0] = max(longest[0], len(sim._load_log[pile.node]))
+
+        sim._log_load = spy
+        sim.run()
+        changes = sim._tally.drained + sum(o.completed for o in sim.outcomes)
+        return longest[0], changes
+
+    (short, short_changes), (long, long_changes) = run(30_000.0), run(120_000.0)
+    assert long_changes > 3 * short_changes > 600
+    assert long <= short
 
 
 def test_full_pile_ignores_broadcasts():

@@ -165,9 +165,80 @@ def test_a_reservation_cannot_be_stored_before_the_clock():
     q.run_until(7.0, lambda ev: None)
     with pytest.raises(SchedulingInPast):
         q.schedule_reserved(6.999, seq, "a", "late")
+    with pytest.raises(SchedulingInPast):
+        q.schedule_under(6.999, 6.0, seq, "a", "late")
     assert len(q) == 0
     q.schedule_reserved(7.0, seq, "a", "now")
     assert len(q) == 1
+
+
+@st.composite
+def event_trees(draw):
+    """Events at a few instants, each scheduled at set-up or by an earlier plain event.
+
+    Each is ``(parent, kind, delay, compute)``: ``parent`` indexes an earlier
+    plain event, or is -1 for set-up.  A plain event fires ``delay`` after its
+    parent.  A computation is the one child of an arrival that fires ``delay``
+    after the parent, and fires ``compute`` after the arrival; it schedules
+    nothing.  Delays of 0 put many events at one instant.
+    """
+    delays = st.sampled_from([0.0, 0.0, 1.0])
+    plain, events = [-1], []
+    for i in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["plain", "computation"]))
+        events.append((draw(st.sampled_from(plain)), kind, draw(delays), draw(delays)))
+        if kind == "plain":
+            plain.append(i)
+    return events
+
+
+def handled_order(events, explicit_arrivals):
+    """The order a queue handles ``events``' plain events and computations in.
+
+    With ``explicit_arrivals`` each arrival is an event that schedules its
+    computation when handled; otherwise the arrival's parent takes a number
+    for it and stores the computation under it with ``schedule_under``.
+    """
+    q, seen = EventQueue(), []
+
+    def schedule_children(parent):
+        for i, (p, kind, delay, compute) in enumerate(events):
+            if p != parent:
+                continue
+            if kind == "plain":
+                q.schedule(q.clock + delay, "n", i)
+            elif explicit_arrivals:
+                q.schedule(q.clock + delay, "n", ("arrival", i, compute))
+            else:
+                arrival = q.clock + delay
+                q.schedule_under(arrival + compute, arrival, q.reserve(), "n", i)
+
+    def handle(ev):
+        if isinstance(ev.payload, tuple):  # an explicit arrival
+            _, i, compute = ev.payload
+            q.schedule(q.clock + compute, "n", i)
+            return
+        seen.append(ev.payload)
+        if events[ev.payload][1] == "plain":
+            schedule_children(ev.payload)
+
+    schedule_children(-1)
+    q.run_until(100.0, handle)
+    assert len(q) == 0
+    return seen
+
+
+@settings(deadline=None)
+@given(event_trees())
+def test_a_child_stored_under_its_parent_runs_where_the_handled_parent_would_queue_it(events):
+    assert handled_order(events, False) == handled_order(events, True)
+
+
+def test_a_child_under_a_later_parent_runs_after_events_its_parent_would_follow():
+    # The arrival fires at 1 after a plain event queued for 1 by the same
+    # parent, so the computation it queues for 1 runs after that event too.
+    events = [(-1, "plain", 0.0, 0.0), (0, "computation", 1.0, 0.0), (0, "plain", 1.0, 0.0)]
+    assert handled_order(events, False) == handled_order(events, True) == [0, 2, 1]
 
 
 def test_clock_never_rewinds_in_handler():

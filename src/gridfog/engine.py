@@ -267,8 +267,8 @@ class RngStream:
     distinct names give independent streams, so adding a node (a new name)
     never perturbs the draws of existing nodes.  The bits are numpy's
     ``Generator(PCG64(SeedSequence(...)))``'s: ``random`` steps the PCG64
-    state in Python, and the other draws run numpy's own code on one shared
-    generator set to this stream's state.
+    state in Python, and ``exponentials`` runs numpy's own code on one
+    shared generator set to this stream's state.
 
     ``state`` and ``inc`` are the PCG64 state; ``None`` derives it from the
     seed and name.  ``children`` holds the states of children derived in one
@@ -281,8 +281,6 @@ class RngStream:
     inc: int = field(default=0, repr=False)
     children: dict[str, tuple[int, int]] | None = field(default=None, repr=False,
                                                          compare=False)
-    # numpy's buffered upper half of a 64-bit draw, as (has_uint32, uinteger)
-    _uint32: tuple[int, int] = field(default=(0, 0), init=False, repr=False)
 
     def __post_init__(self):
         if self.state is None:
@@ -310,31 +308,22 @@ class RngStream:
         out = ((word >> rot) | (word << (64 - rot))) & _MASK64
         return (out >> 11) * 2.0**-53
 
-    def _numpy(self, method: str, *args):
-        """``Generator.<method>(*args)`` on this stream's bits; the stream moves past them."""
-        gen = _generator()
-        bits = gen.bit_generator
-        bits.state = {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
-                      "has_uint32": self._uint32[0], "uinteger": self._uint32[1]}
-        out = getattr(gen, method)(*args)
-        after = bits.state
-        self.state = after["state"]["state"]
-        self._uint32 = after["has_uint32"], after["uinteger"]
-        return out
-
     def exponentials(self, mean: float) -> Iterator[float]:
         """Endless ``exponential(mean)`` draws, fetched from numpy in doubling batches.
 
+        Each batch runs on the shared generator set to this stream's state.
         The stream moves past a whole batch when it fetches it, drawn or not.
         """
-        size = 8
+        gen, size = _generator(), 8
+        bits = gen.bit_generator
         while True:
-            yield from self._numpy("exponential", mean, size).tolist()
+            # No draw of a stream buffers half of a 64-bit output, so none is pending.
+            bits.state = {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
+                          "has_uint32": 0, "uinteger": 0}
+            batch = gen.exponential(mean, size).tolist()
+            self.state = bits.state["state"]["state"]
+            yield from batch
             size *= 2
-
-    def integers(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high)``."""
-        return int(self._numpy("integers", low, high))
 
     def disk_point(self, cx: float, cy: float, radius: float) -> tuple[float, float]:
         """Uniform point inside the disk, via the sqrt-radius polar draw."""

@@ -17,9 +17,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .engine import SimTime
 from .errors import CapacityExceeded, FlowNotResident
-from .messages import JobResult, ServiceRequest, new_job_result
+from .messages import JobResult, ServiceRequest
 from .topology import NodeId, Point2D
 
 log = logging.getLogger(__name__)
@@ -93,15 +92,6 @@ def offer_score(
     return score
 
 
-def score_piles(
-    request: ServiceRequest, offers: list[tuple[PileState, int]], weights: tuple[float, float]
-) -> list[JobResult]:
-    """One JobResult per ``(pile, queue length)`` offer: the FNC decision's reference."""
-    request_id = request.request_id
-    return [new_job_result((request_id, pile.node, offer_score(request, pile, load, weights)))
-            for pile, load in offers]
-
-
 def evaluate_charging_request(
     request: ServiceRequest, pile: PileState, weights: tuple[float, float]
 ) -> JobResult:
@@ -109,8 +99,8 @@ def evaluate_charging_request(
     w_dist, w_wait = weights
     if w_dist < 0 or w_wait < 0 or (w_dist == 0 and w_wait == 0):
         raise ValueError("weights must be >= 0 and not both zero")
-    return new_job_result((request.request_id, pile.node,
-                           offer_score(request, pile, pile.queue_len, weights)))
+    return JobResult(request.request_id, pile.node,
+                     offer_score(request, pile, pile.queue_len, weights))
 
 
 class FlowInstance:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 from .engine import SimTime
@@ -39,16 +38,11 @@ class JobDispatch(NamedTuple):
 
 
 class JobResult(NamedTuple):
-    """One pile's score for one request, as a broadcast reply carries it."""
+    """One pile's score for one request: what the step-by-step reference aggregates."""
 
     request_id: str
     responder: NodeId
     score: float
-
-
-# ``new_job_result((request_id, responder, score))`` equals ``JobResult(...)``, but
-# skips the Python-level ``__new__`` that ``NamedTuple`` writes.
-new_job_result = partial(tuple.__new__, JobResult)
 
 
 @dataclass(frozen=True)

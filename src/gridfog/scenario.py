@@ -16,11 +16,13 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple
 
-# Unused here, dispatch and filter_candidates stay importable for bench/layers.py.
+# No run calls aggregate, dispatch, filter_candidates or evaluate_charging_request,
+# but bench/layers.py patches each by name on this module, and raises if one is missing.
 from .coordinator import aggregate, dispatch, filter_candidates
 from .engine import EventQueue, LatencyModel, RngStream, SimTime, link_latency
 from .errors import CapacityExceeded, InvariantViolation
@@ -229,13 +231,11 @@ class _Terminal:
 
 @dataclass
 class _ReplyWindow:
-    """The replies a broadcasting terminal gathers for one request.
-
-    It files each reply as its pile sends it and waits for the deadline.
-    """
+    """A broadcasting terminal's window for one request: its best in-time reply so far."""
 
     deadline: SimTime
-    results: list[JobResult] = field(default_factory=list)
+    best: float = math.inf
+    chosen: NodeId | None = None
     last_arrival: SimTime | None = None
 
 
@@ -868,18 +868,21 @@ class Simulation:
         return load >= host.capacity
 
     def _reply_to_terminal(self, pile_node: NodeId, done: _ComputeDone):
-        """Score the request and file the reply with its terminal's window as it is sent.
+        """Score the request and offer the reply to its terminal's window as it is sent.
 
         A pile full when the copy arrived drops it.  The reply's arrival is
         ``send_wireless``'s, fixed at send, as a terminal has no receiver
         load.  One due at or after the deadline misses the window, as the
         deadline event, queued before any reply was sent, fires first on a
-        tie.  A reply due past the horizon counts in ``events_left``.
+        tie; it is still scored, so a non-finite score fails the run.  The
+        window keeps the lowest ``(score, pile)``: every pile is in the fog
+        layer and replies once, so this is ``aggregate``'s minimum in any
+        reply order.  A reply due past the horizon counts in ``events_left``.
         """
         if self._full_at_arrival(pile_node, done):
             return
         request, pile = done.request, self.piles[pile_node].pile
-        result = evaluate_charging_request(request, pile, self.config.weights)
+        score = offer_score(request, pile, pile.queue_len, self.config.weights)
         requester, request_id = request.requester, request.request_id
         here, there, clock = pile.location, self.position(requester), self.queue.clock
         arrival = (self.channel.acquire(clock) + self.channel.air_ms
@@ -888,7 +891,8 @@ class Simulation:
             self._past_horizon += 1
         window = self._windows.get(request_id)
         if window is not None and arrival < window.deadline:
-            window.results.append(result)
+            if score < window.best or score == window.best and pile_node < window.chosen:
+                window.best, window.chosen = score, pile_node
             if window.last_arrival is None or arrival > window.last_arrival:
                 window.last_arrival = arrival
         self.sent[JobResult] += 1
@@ -898,13 +902,14 @@ class Simulation:
                                         here.distance_to(there), 0.0, "JobResult", request_id))
 
     def _window_close(self, node: NodeId, deadline: _Deadline):
+        """Decide for the window's best reply, at the latest reply's arrival."""
         request_id = deadline.request_id
         window = self._windows.pop(request_id)
-        if window.results:
-            decision = aggregate(request_id, window.results, window.last_arrival)
-            self._complete(node, decision, window.last_arrival)
-        else:
+        if window.chosen is None:
             self._outcome_by_id[request_id].failure = "request-timed-out"
+        else:
+            self._complete(node, Decision(request_id, window.chosen, window.last_arrival),
+                           window.last_arrival)
 
     # --------------------------------------------------------- migration
     def _complete(self, node: NodeId, decision: Decision, at: SimTime):
@@ -1114,7 +1119,9 @@ class Simulation:
             swept_variable=swept_variable,
             swept_value=swept_value,
             seed=self.config.seed,
-            mean_latency_ms=(sum(latencies) / completed) if completed else None,
+            # A left fold, as 3.11's sum() is: 3.12's sum() compensates, moving the bits.
+            mean_latency_ms=(reduce(operator.add, latencies, 0.0) / completed
+                             if completed else None),
             p95_latency_ms=percentile_nearest_rank(latencies, 95.0) if completed else None,
             completed=completed,
             timed_out=issued - completed,

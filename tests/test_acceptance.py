@@ -9,13 +9,15 @@ and event-engine ordering.
 """
 
 import logging
+import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from gridfog.coordinator import aggregate, dispatch, filter_candidates
-from gridfog.engine import EventQueue, RngStream
+from gridfog.engine import EventQueue, RngStream, _stream_entropy
 from gridfog.errors import SchedulingInPast
 from gridfog.fognode import (
     FogNode,
@@ -121,20 +123,28 @@ def test_acceptance_3_coordinator_count_trend():
 # ----------------------------------------------------------- correctness
 
 def test_acceptance_4_decision_matches_brute_force_oracle():
-    rng = RngStream(2026, "oracle")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [2026, _stream_entropy("oracle")])))
+
+    def disk_point(cx, cy, radius):
+        """``RngStream.disk_point``'s sqrt-radius polar draw, on ``rng``."""
+        r = radius * math.sqrt(rng.random())
+        theta = rng.random() * 2.0 * math.pi
+        return cx + r * math.cos(theta), cy + r * math.sin(theta)
+
     w_dist, w_wait = 1.0, 600.0
     service_per_hour = 30.0
     mismatches = 0
     for case in range(100):
         n_piles = int(rng.integers(8, 16))
-        origin = Point2D(*rng.disk_point(0.0, 0.0, 1000.0))
+        origin = Point2D(*disk_point(0.0, 0.0, 1000.0))
         query_range = 200.0 + 1800.0 * rng.random()
         registry = Registry()
         piles = {}
         queues = {}
         for k in range(n_piles):
             node = fog_id(k)
-            loc = Point2D(*rng.disk_point(0.0, 0.0, 1000.0))
+            loc = Point2D(*disk_point(0.0, 0.0, 1000.0))
             if k == 0:
                 loc = origin  # guarantee one eligible candidate
             queue = int(rng.integers(0, 71))

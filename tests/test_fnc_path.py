@@ -11,6 +11,7 @@ skips, and the same error where a score is not finite.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -18,8 +19,8 @@ from hypothesis import example, given, strategies as st
 from gridfog import scenario
 from gridfog.coordinator import aggregate, dispatch, filter_candidates
 from gridfog.errors import NoEligibleNodes
-from gridfog.fognode import score_piles
-from gridfog.messages import Decision, FailureNotice, ServiceRequest
+from gridfog.fognode import PileState, evaluate_charging_request, offer_score
+from gridfog.messages import Decision, FailureNotice, JobResult, ServiceRequest
 from gridfog.scenario import RequestOutcome, ScenarioConfig, Simulation
 from gridfog.topology import (
     NodeStatus,
@@ -37,6 +38,26 @@ CAPACITY = 4
 FNC = fnc_id(0)
 coordinate = st.floats(-300.0, 300.0)
 point = st.tuples(coordinate, coordinate)
+
+
+def score_piles(request, offers, weights):
+    """One JobResult per ``(pile, queue length)`` offer: the reference chain's scoring step."""
+    return [JobResult(request.request_id, pile.node, offer_score(request, pile, load, weights))
+            for pile, load in offers]
+
+
+def test_batch_scores_are_the_one_pile_scores():
+    # Each offer is scored at the queue length it names, not the pile's own.
+    request = ServiceRequest("r1", terminal_id(0), Point2D(3.0, -4.0), "charging-query",
+                             1000.0, 0.0)
+    piles = [PileState(fog_id(i), Point2D(97.0 * i, -31.0 * i), queue_len=i % 3)
+             for i in range(6)]
+    loads = [4, 0, 1, 7, 2, 5]
+    batch = score_piles(request, list(zip(piles, loads)), (1.5, 600.0))
+    one_by_one = [evaluate_charging_request(request, replace(pile, queue_len=load), (1.5, 600.0))
+                  for pile, load in zip(piles, loads)]
+    assert [repr(r) for r in batch] == [repr(r) for r in one_by_one]
+    assert score_piles(request, [], (1.0, 0.0)) == []
 
 
 @st.composite
@@ -83,7 +104,6 @@ def fnc_path(piles, origin, range_m, weights):
         scores[pile.node] = score = offer_score(request, pile, load, weights)
         return score
 
-    offer_score = scenario.offer_score
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario, "offer_score", recording)
         sim._fnc_process(FNC, request)

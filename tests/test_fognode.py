@@ -3,7 +3,6 @@
 import logging
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -17,7 +16,6 @@ from gridfog.fognode import (
     evaluate_charging_request,
     migration_source,
     on_migration_end,
-    score_piles,
 )
 from gridfog.messages import ServiceRequest
 from gridfog.topology import Point2D, fog_id, terminal_id
@@ -70,18 +68,6 @@ def test_non_finite_score_rejected(pile, weights):
     # JobResult itself checks nothing: this is the one guard on its score.
     with pytest.raises(ValueError, match="finite"):
         evaluate_charging_request(request_at(0.0, 0.0), pile, weights)
-
-
-def test_batch_scores_are_the_one_pile_scores():
-    # Each offer is scored at the queue length it names, not the pile's own.
-    request = request_at(3.0, -4.0)
-    piles = [pile_at(i, 97.0 * i, -31.0 * i, queue_len=i % 3) for i in range(6)]
-    loads = [4, 0, 1, 7, 2, 5]
-    batch = score_piles(request, list(zip(piles, loads)), (1.5, 600.0))
-    one_by_one = [evaluate_charging_request(request, replace(pile, queue_len=load), (1.5, 600.0))
-                  for pile, load in zip(piles, loads)]
-    assert [repr(r) for r in batch] == [repr(r) for r in one_by_one]
-    assert score_piles(request, [], (1.0, 0.0)) == []
 
 
 def host(ordinal=0, queue_len=0, capacity=8):

@@ -99,6 +99,9 @@ CONFIGS = {
     "traditional-computations-round-together": dict(
         architecture="traditional", compute_ms=2.0**47, aggregation_timeout_ms=2.0**48,
         n_fog=20, wireless_prop_ms_per_m=0.5, request_rate=30.0, sim_duration_ms=20_000.0),
+    # With no distance term every idle pile scores exactly 0.0, so most
+    # broadcast windows hold ties, which the lowest pile must win.
+    "traditional-score-ties": dict(architecture="traditional", w_dist=0.0),
 }
 
 GOLDEN = {
@@ -119,6 +122,7 @@ GOLDEN = {
     "coordinated-load-decides": "3ff69f348dea067ca3cf5941e74df21adf0101c3efd069283cea42e71b81d3c5",
     "traditional-full-piles-instant": "0f293d2a075471f3ec4705bae646309dd3755172fb94d851716c03de4ce26c37",
     "traditional-computations-round-together": "e374f231a03e1ee548bd2740336be8f695a9d9ac5ea0150b7226d9605c74e52f",
+    "traditional-score-ties": "1d65be04ee23276d081e08199a289effe27aba5a86e020dee1b70c9b85cb8aff",
 }
 
 

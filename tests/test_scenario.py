@@ -1145,6 +1145,16 @@ def test_summary_row_is_internally_consistent():
     assert row.messages_total == len(sim.trace)
 
 
+def test_the_mean_latency_is_a_left_fold_on_every_python():
+    # Summed left to right, ten 0.1s give 0.9999999999999999; a compensated
+    # sum, as 3.12's sum() is, gives 1.0 and a mean of 0.1.
+    sim = Simulation(small_config())
+    terminal = next(iter(sim.terminals))
+    sim.outcomes = [scenario.RequestOutcome(f"r{i}", terminal, 0.0, decided_at=0.1,
+                                            latency_ms=0.1) for i in range(10)]
+    assert sim.summary_row().mean_latency_ms == 0.09999999999999999
+
+
 # ---------------------------------------------------------------- migration
 
 def test_migration_triggers_only_above_the_latency_bound():

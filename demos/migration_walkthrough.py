@@ -36,7 +36,6 @@ def hand_driven():
 
     def deliver(candidate, state):
         on_migration_end(dst, state)
-        return None
 
     policy = MigrationPolicy(t_upper=400.0, candidates=(fog_id(1),))
     outcome = migration_source(src, "ev-7-session", 712.0, policy,

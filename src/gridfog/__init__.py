@@ -4,7 +4,6 @@ import logging
 
 from .engine import EventQueue, LatencyModel, RngStream, SimEvent, SimTime, link_latency
 from .errors import (
-    CapacityExceeded,
     ConfigError,
     EmptyResultSet,
     FlowNotResident,

@@ -29,10 +29,6 @@ class FlowNotResident(GridFogError):
     """The named flow is not hosted on this node."""
 
 
-class CapacityExceeded(GridFogError):
-    """A migration target can no longer take the flow (late reject)."""
-
-
 class ConfigError(GridFogError):
     """Base class for configuration file problems."""
 

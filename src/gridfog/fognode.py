@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityExceeded, FlowNotResident
+from .errors import FlowNotResident
 from .messages import JobResult, ServiceRequest
 from .topology import NodeId, Point2D
 
@@ -219,17 +219,8 @@ class FogNode:
 
 
 def on_migration_end(host: FogNode, state: FlowState) -> str:
-    """Install a migrated flow at the target; raises CapacityExceeded late.
-
-    A reservation taken at accept time is consumed here; without one the
-    capacity check runs cold, which is how a late reject arises.
-    """
-    reserved = state.flow_id in host._reservations
+    """Install a migrated flow at the target, which refuses only when asked to accept."""
     host._reservations.discard(state.flow_id)
-    if host.pile.queue_len + len(host._reservations) >= host.capacity and not reserved:
-        raise CapacityExceeded(
-            f"{host.node}: queue {host.pile.queue_len} of {host.capacity}"
-        )
     host.reinstall_flow(state)
     return f"ack:{state.flow_id}"
 
@@ -300,13 +291,10 @@ class MigrationSourceSession:
         state = self.host.release_flow(self.flow_id, forward_to=self.current)
         return MigrationStep("send-state", target=self.current, state=state)
 
-    def on_ack(self, bounced_state: FlowState | None = None) -> MigrationStep:
-        """The target kept the flow, or bounced its state back to be reinstalled here."""
-        if bounced_state is None:
-            outcome = MigrationOutcome("migrated", target=self.current, attempts=self.attempts)
-            return MigrationStep("done", target=self.current, outcome=outcome)
-        self.host.reinstall_flow(bounced_state)
-        return self._next_candidate()
+    def on_ack(self) -> MigrationStep:
+        """The target installed the flow: the migration is done."""
+        outcome = MigrationOutcome("migrated", target=self.current, attempts=self.attempts)
+        return MigrationStep("done", target=self.current, outcome=outcome)
 
 
 def migration_source(
@@ -321,8 +309,7 @@ def migration_source(
 
     ``respond(candidate)`` answers the start-migration question; optional
     ``deliver_state(candidate, state)`` hands the snapshot, held events
-    included, to the candidate and returns the state if the candidate
-    bounced it, else ``None``.  Without it the hand-off always succeeds.
+    included, to the candidate that accepted, which installs it.
     """
     session = MigrationSourceSession(host, flow_id, policy)
     step = session.begin(observed_latency_ms)
@@ -332,8 +319,9 @@ def migration_source(
         if step.kind == "send-start":
             step = session.on_response(bool(respond(step.target)))
         elif step.kind == "send-state":
-            bounced = None if deliver_state is None else deliver_state(step.target, step.state)
-            step = session.on_ack(bounced)
+            if deliver_state is not None:
+                deliver_state(step.target, step.state)
+            step = session.on_ack()
         else:
             raise RuntimeError(f"unexpected step {step.kind}")
 
@@ -364,7 +352,6 @@ class ObjectStateMsg:
 class MigrationAck:
     flow_id: str
     responder: NodeId
-    bounced_state: FlowState | None = None  # the state a late reject sends back
 
 
 @dataclass(frozen=True)

@@ -236,8 +236,11 @@ def parse_csv(path) -> MetricsTable:
         for cells in reader:
             if len(cells) != len(COLUMNS):
                 raise ValueError(f"expected {len(COLUMNS)} cells, got {len(cells)}")
-            table.append(MetricsRow(**{name: read(cell.replace(nul, "\0")) for
-                                       (name, read), cell in zip(_ROW_READERS.items(), cells)}))
+            values = {name: read(cell.replace(nul, "\0"))
+                      for (name, read), cell in zip(_ROW_READERS.items(), cells)}
+            if nan := [name for name, value in values.items() if value != value]:
+                raise ValueError(f"{nan[0]} is NaN, which no run writes")
+            table.append(MetricsRow(**values))
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     finally:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 # but bench/layers.py patches each by name on this module, and raises if one is missing.
 from .coordinator import aggregate, dispatch, filter_candidates
 from .engine import EventQueue, LatencyModel, RngStream, SimTime, link_latency
-from .errors import CapacityExceeded, InvariantViolation
+from .errors import InvariantViolation
 from .fognode import (
     FogNode,
     MigrationAck,
@@ -1000,17 +1000,12 @@ class Simulation:
         self._run_migration_step(msg.flow_id, session.on_response(msg.accept))
 
     def _object_state_at_target(self, target: NodeId, msg: ObjectStateMsg):
-        host = self.piles[target]
-        try:
-            on_migration_end(host, msg.state)
-            ack = MigrationAck(msg.flow_id, target)
-        except CapacityExceeded:
-            ack = MigrationAck(msg.flow_id, target, bounced_state=msg.state)
-        self.send_wired(target, msg.state.origin, ack)
+        on_migration_end(self.piles[target], msg.state)
+        self.send_wired(target, msg.state.origin, MigrationAck(msg.flow_id, target))
 
     def _migration_ack_at_source(self, source: NodeId, msg: MigrationAck):
         session = self._active_migrations[msg.flow_id][0]
-        self._run_migration_step(msg.flow_id, session.on_ack(msg.bounced_state))
+        self._run_migration_step(msg.flow_id, session.on_ack())
 
     # Per architecture, the handler of each payload type at its event's target.
     _ROUTES = {

@@ -211,7 +211,6 @@ def test_acceptance_5_migration_state_machine(caplog):
 
     def deliver(candidate, state):
         on_migration_end(dst, state)
-        return None
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1), fog_id(2)))
     outcome = migration_source(src, "f", 80.0, policy,
@@ -232,7 +231,6 @@ def test_acceptance_5_migration_state_machine(caplog):
 
     def deliver2(candidate, state):
         on_migration_end(dst2, state)
-        return None
 
     policy = MigrationPolicy(t_upper=50.0,
                              candidates=(fog_id(1), fog_id(2), fog_id(3)))
@@ -289,7 +287,6 @@ def test_acceptance_6_exactly_once_across_migration():
 
     def deliver(candidate, state):
         on_migration_end(dst, state)
-        return None
 
     policy = MigrationPolicy(t_upper=50.0, candidates=(fog_id(1),))
     outcome = migration_source(src, "f", 99.0, policy,

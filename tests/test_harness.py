@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -336,6 +337,7 @@ _optional = st.none() | _floats
 @example(MetricsRow(",", '"', "\n", None, -1, 1.7e308, None, error="\r"))
 @example(MetricsRow("\0", "\ue000\0", "", 0.0, 0, error="NUL \0, \"\0\"\n"))
 @example(MetricsRow("r", "traditional", "n_fnc", 1.0, 3, error="x" * 200_000))
+@example(MetricsRow("r", "coordinated", "n_fnc", math.inf, 0, -math.inf, math.inf))
 def test_csv_round_trip_keeps_every_row(row):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "rows.csv"
@@ -343,6 +345,18 @@ def test_csv_round_trip_keeps_every_row(row):
         back = parse_csv(path).rows
     assert back == [row, row]
     assert repr(back[0]) == repr(row)  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("cells, column", [
+    ("r1,coordinated,n_fnc,nan,1,5.0,5.0,1,0,0,0,", "swept_value"),
+    ("r1,coordinated,n_fnc,1.0,1,5.0,-nan,1,0,0,0,", "p95_latency_ms"),
+])
+def test_a_nan_cell_is_rejected_at_its_line(tmp_path, cells, column):
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(COLUMNS) + "\nr0,coordinated,n_fnc,1.0,1,,,0,0,0,0,\n"
+                    + cells + "\n")
+    with pytest.raises(ValueError, match=f"line 3: {column} is NaN"):
+        parse_csv(path)
 
 
 @pytest.mark.parametrize("error", ["a\0b", "a\rb"])
@@ -591,6 +605,10 @@ def test_cli_sweep_rejects_non_positive_reps(reps, capsys):
                  "rows mix sweep variables", id="mixed-variables"),
     pytest.param(",".join(COLUMNS) + "\nr1,traditional,n_fnc,abc,1,,,0,0,0,0,\n",
                  "line 2: could not convert string to float: 'abc'", id="bad-number"),
+    # Two NaN swept values are unequal, so they would make two points.
+    pytest.param(",".join(COLUMNS) + "\nr1,coordinated,n_fnc,nan,1,5.0,5.0,1,0,0,0,\n"
+                 "r2,coordinated,n_fnc,nan,2,7.0,7.0,1,0,0,0,\n",
+                 "line 2: swept_value is NaN", id="nan-swept-value"),
     # The bad byte lies past the first chunk a text reader would decode.
     pytest.param((",".join(COLUMNS) + "\n" + "r1,traditional,n_fnc,1.0,1,,,0,0,0,0,\n" * 400
                   + "r2\xff\n").encode("latin-1"),

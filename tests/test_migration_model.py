@@ -4,10 +4,9 @@ Two flows start on piles of their own.  The rules interleave, in any order
 hypothesis finds: emitting a flow's events and offering them to its first
 pile, in any order and more than once, through the forwarding stubs a
 migration leaves; beginning a migration; answering it by the target's own
-admission, by a plain reject, or by an accept that reserves nothing, which
-the target may refuse late once the state arrives; handing the state off;
-and returning the ack, or the bounced state, to the source.  Piles' queues
-fill and drain between the steps.
+admission, by a plain reject, or by an accept that reserves nothing;
+handing the state off, which the target installs; and returning the ack to
+the source.  Piles' queues fill and drain between the steps.
 
 After every step, for each flow:
 - it is resident on exactly one pile, or on none while its state is in
@@ -21,7 +20,7 @@ After every step, for each flow:
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from gridfog.errors import CapacityExceeded, FlowNotResident
+from gridfog.errors import FlowNotResident
 from gridfog.fognode import (
     FogNode,
     MigrationAck,
@@ -60,8 +59,7 @@ class _Books:
 
     def in_flight(self) -> bool:
         """The state has left the source and is not installed anywhere yet."""
-        waits_for = self.waits_for()
-        return waits_for == "hand-off" or waits_for == "ack" and self.ack.bounced_state is not None
+        return self.waits_for() == "hand-off"
 
 
 class MigrationModel(RuleBasedStateMachine):
@@ -172,22 +170,19 @@ class MigrationModel(RuleBasedStateMachine):
     @precondition(lambda self: self._waiting("hand-off"))
     @rule(pick=picks)
     def hand_off(self, pick):
-        """The state reaches its target, which installs it or refuses it late."""
+        """The state reaches its target, which installs it and acks."""
         flow, books = self._pick("hand-off", pick)
         step = books.step
-        try:
-            on_migration_end(self.hosts[step.target], step.state)
-            books.ack = MigrationAck(flow, step.target)
-        except CapacityExceeded:
-            books.ack = MigrationAck(flow, step.target, bounced_state=step.state)
+        on_migration_end(self.hosts[step.target], step.state)
+        books.ack = MigrationAck(flow, step.target)
 
     @precondition(lambda self: self._waiting("ack"))
     @rule(pick=picks)
     def ack(self, pick):
-        """The target's ack, or its bounce with the state, reaches the source."""
+        """The target's ack reaches the source."""
         flow, books = self._pick("ack", pick)
-        ack, books.ack = books.ack, None
-        self._follow(flow, books.session.on_ack(ack.bounced_state))
+        books.ack = None
+        self._follow(flow, books.session.on_ack())
 
     @invariant()
     def a_flow_is_resident_once(self):
@@ -204,8 +199,7 @@ class MigrationModel(RuleBasedStateMachine):
             if residents:
                 held = set(residents[0].flows[flow].pending)
             else:  # the events the flow holds travel in its snapshot
-                state = books.step.state if books.ack is None else books.ack.bounced_state
-                held = set(state.pending)
+                held = set(books.step.state.pending)
             assert books.offered <= held.union(processed), (flow, held, processed)
             if not books.in_flight():
                 run = 0

@@ -218,11 +218,10 @@ class FogNode:
         return instance
 
 
-def on_migration_end(host: FogNode, state: FlowState) -> str:
+def on_migration_end(host: FogNode, state: FlowState) -> None:
     """Install a migrated flow at the target, which refuses only when asked to accept."""
     host._reservations.discard(state.flow_id)
     host.reinstall_flow(state)
-    return f"ack:{state.flow_id}"
 
 
 @dataclass(frozen=True)
@@ -335,7 +334,6 @@ class StartMigration:
 @dataclass(frozen=True)
 class MigrationResponse:
     flow_id: str
-    responder: NodeId
     accept: bool
 
 
@@ -351,10 +349,3 @@ class ObjectStateMsg:
 @dataclass(frozen=True)
 class MigrationAck:
     flow_id: str
-    responder: NodeId
-
-
-@dataclass(frozen=True)
-class FlowEventMsg:
-    flow_id: str
-    seq: int

@@ -135,8 +135,9 @@ def _write_rows(handle, header, rows) -> int:
     writer = csv.writer(handle, lineterminator="\n")
     for line in lines:
         # With "\n" line ends csv leaves a bare "\r" unquoted, where no reader
-        # could tell it from a line end, and before CPython 3.11 it cannot
-        # write a NUL at all: such a line is quoted in full here.
+        # could tell it from a line end: such a line is quoted in full here.
+        # A line with a NUL is quoted in full too, which csv does not need,
+        # so that the files keep their bytes.
         if any("\r" in cell or "\0" in cell for cell in line):
             handle.write(",".join('"' + cell.replace('"', '""') + '"' for cell in line) + "\n")
         else:
@@ -220,11 +221,7 @@ def parse_csv(path) -> MetricsTable:
         raise ValueError(f"{path}: {exc}") from None
     if not text:
         raise ValueError(f"{path}: empty file, expected a metrics CSV header")
-    # Before CPython 3.11 csv cannot read a NUL: a character absent from the
-    # text stands in for it.
-    nul = "\0" if "\0" not in text else next(
-        c for c in map(chr, range(0xE000, 0x110000)) if c not in text)
-    reader = csv.reader(io.StringIO(text.replace("\0", nul), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     table = MetricsTable()
     # No cell is longer than the text.  The limit is process-wide, so it is
     # put back afterwards.
@@ -236,7 +233,7 @@ def parse_csv(path) -> MetricsTable:
         for cells in reader:
             if len(cells) != len(COLUMNS):
                 raise ValueError(f"expected {len(COLUMNS)} cells, got {len(cells)}")
-            values = {name: read(cell.replace(nul, "\0"))
+            values = {name: read(cell)
                       for (name, read), cell in zip(_ROW_READERS.items(), cells)}
             if nan := [name for name, value in values.items() if value != value]:
                 raise ValueError(f"{nan[0]} is NaN, which no run writes")

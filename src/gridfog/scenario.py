@@ -993,7 +993,7 @@ class Simulation:
 
     def _start_migration_at_target(self, target: NodeId, msg: StartMigration):
         accept = self.piles[target].accept_migration(msg.flow_id)
-        self.send_wired(target, msg.source, MigrationResponse(msg.flow_id, target, accept))
+        self.send_wired(target, msg.source, MigrationResponse(msg.flow_id, accept))
 
     def _migration_response_at_source(self, source: NodeId, msg: MigrationResponse):
         session = self._active_migrations[msg.flow_id][0]
@@ -1001,7 +1001,7 @@ class Simulation:
 
     def _object_state_at_target(self, target: NodeId, msg: ObjectStateMsg):
         on_migration_end(self.piles[target], msg.state)
-        self.send_wired(target, msg.state.origin, MigrationAck(msg.flow_id, target))
+        self.send_wired(target, msg.state.origin, MigrationAck(msg.flow_id))
 
     def _migration_ack_at_source(self, source: NodeId, msg: MigrationAck):
         session = self._active_migrations[msg.flow_id][0]

@@ -192,8 +192,7 @@ def test_migration_end_installs_at_target():
     for seq in range(1, 5):
         inst.offer(seq)
     state = src.release_flow("f1", forward_to=dst.node)
-    ack = on_migration_end(dst, state)
-    assert ack == "ack:f1"
+    on_migration_end(dst, state)
     assert dst.has_flow("f1")
     assert dst.flows["f1"].cursor == 4
 
@@ -205,7 +204,8 @@ def test_reservation_survives_queue_growth():
     src = host(0)
     src.create_flow("f1")
     state = src.release_flow("f1", forward_to=dst.node)
-    assert on_migration_end(dst, state) == "ack:f1"
+    on_migration_end(dst, state)
+    assert dst.has_flow("f1")
 
 
 def test_threshold_monotonicity():

@@ -361,8 +361,9 @@ def test_a_nan_cell_is_rejected_at_its_line(tmp_path, cells, column):
 
 @pytest.mark.parametrize("error", ["a\0b", "a\rb"])
 def test_a_nul_or_carriage_return_quotes_the_whole_line(tmp_path, error):
-    # csv before CPython 3.11 can neither write nor read a NUL, and no reader
-    # tells an unquoted "\r" from a line end.
+    # No reader tells an unquoted "\r" from a line end.  A NUL needs no quotes,
+    # but a line that holds one is quoted in full all the same, so that files
+    # written before keep their bytes.
     path = tmp_path / "rows.csv"
     emit_csv(MetricsTable([MetricsRow("r", "traditional", "n_fnc", 1.0, 3,
                                       error=error)]), path)

@@ -174,7 +174,7 @@ class MigrationModel(RuleBasedStateMachine):
         flow, books = self._pick("hand-off", pick)
         step = books.step
         on_migration_end(self.hosts[step.target], step.state)
-        books.ack = MigrationAck(flow, step.target)
+        books.ack = MigrationAck(flow)
 
     @precondition(lambda self: self._waiting("ack"))
     @rule(pick=picks)

@@ -12,9 +12,10 @@ from gridfog import engine, scenario
 from gridfog.engine import LatencyModel, link_latency
 from gridfog.errors import InvariantViolation
 from gridfog.fognode import evaluate_charging_request
-from gridfog.harness import SweepSpec, run_sweep
+from gridfog.harness import SweepSpec, emit_plot_data, run_sweep
 from gridfog.messages import (
     JobDispatch, JobResult, LatencyComplaint, ServiceRequest, StatusReportMsg)
+from gridfog.metrics import MetricsRow, MetricsTable
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
 from gridfog.topology import PileIndex, Point2D, Registry, fog_id
 
@@ -1153,6 +1154,17 @@ def test_the_mean_latency_is_a_left_fold_on_every_python():
     sim.outcomes = [scenario.RequestOutcome(f"r{i}", terminal, 0.0, decided_at=0.1,
                                             latency_ms=0.1) for i in range(10)]
     assert sim.summary_row().mean_latency_ms == 0.09999999999999999
+
+
+def test_plot_data_is_correctly_rounded_on_every_python():
+    # statistics.stdev is correctly rounded from CPython 3.11 on; 3.10 gives
+    # 250.71564237863848 here.
+    table = MetricsTable([MetricsRow(f"r{i}", "traditional", "n_fnc", 1.0, i,
+                                     mean_latency_ms=mean)
+                          for i, mean in enumerate([348.0, 278.0, 743.0])])
+    (point,) = emit_plot_data(table)["traditional"]
+    assert point.mean_latency_ms == 456.3333333333333
+    assert point.std_latency_ms == 250.71564237863845
 
 
 # ---------------------------------------------------------------- migration

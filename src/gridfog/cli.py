@@ -42,14 +42,11 @@ def _cmd_run(args) -> int:
             sim = Simulation(cfg, trace=JsonlTrace(handle)).run()
     else:
         sim = Simulation(cfg).run()
-    table = MetricsTable()
-    table.append(sim.summary_row(
-        run_id=f"run-{cfg.seed}-{cfg.architecture}"))
+    row = sim.summary_row(run_id=f"run-{cfg.seed}-{cfg.architecture}")
     out = Path(args.out)
-    emit_csv(table, out)
+    emit_csv(MetricsTable([row]), out)
     topo = out.with_name(out.stem + "_topology.csv")
     write_topology_csv(sim.records, topo)
-    row = table.rows[0]
     mean = "n/a" if row.mean_latency_ms is None else f"{row.mean_latency_ms:.1f} ms"
     print(f"{row.completed} completed, {row.timed_out} unserved, "
           f"mean latency {mean}")

@@ -152,8 +152,8 @@ class FlowInstance:
             state.flow_id, (), home,
             operator_states=dict(state.operator_states), cursor=state.cursor,
         )
-        for seq in state.pending:
-            instance.offer(seq)
+        # ``offer`` never leaves ``cursor + 1`` held, so no held event is ready to run.
+        instance.pending = set(state.pending)
         return instance
 
 
@@ -211,17 +211,11 @@ class FogNode:
         self.forwarding[flow_id] = forward_to
         return self.flows.pop(flow_id).snapshot()
 
-    def reinstall_flow(self, state: FlowState) -> FlowInstance:
-        """Install a flow from its snapshot, held events included."""
-        instance = FlowInstance.restore(state, self.node)
-        self.install_flow(instance)
-        return instance
-
 
 def on_migration_end(host: FogNode, state: FlowState) -> None:
     """Install a migrated flow at the target, which refuses only when asked to accept."""
     host._reservations.discard(state.flow_id)
-    host.reinstall_flow(state)
+    host.install_flow(FlowInstance.restore(state, host.node))
 
 
 @dataclass(frozen=True)
@@ -317,12 +311,10 @@ def migration_source(
             return step.outcome
         if step.kind == "send-start":
             step = session.on_response(bool(respond(step.target)))
-        elif step.kind == "send-state":
+        else:  # send-state
             if deliver_state is not None:
                 deliver_state(step.target, step.state)
             step = session.on_ack()
-        else:
-            raise RuntimeError(f"unexpected step {step.kind}")
 
 
 @dataclass(frozen=True)

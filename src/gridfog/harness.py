@@ -74,18 +74,13 @@ def derive_seed(base_seed: int, value_index: int, repetition: int,
 
 def _cell_config(spec: SweepSpec, value: float, seed: int,
                  architecture: str) -> ScenarioConfig:
-    base = spec.base
-    if spec.variable == "query_range_m":
-        return replace(base, query_range_m=value, seed=seed,
-                       architecture=architecture)
-    if spec.variable == "n_fnc":
-        return replace(base, n_fnc=int(value), seed=seed,
-                       architecture=architecture)
-    # n_requests: total requests over the run -> per-terminal rate per minute
-    minutes = base.sim_duration_ms / 60_000.0
-    rate = value / (base.n_terminals * minutes)
-    return replace(base, request_rate=rate, seed=seed,
-                   architecture=architecture)
+    base, name = spec.base, spec.variable
+    if name == "n_fnc":
+        value = int(value)
+    elif name == "n_requests":  # total requests over the run -> per-terminal rate per minute
+        minutes = base.sim_duration_ms / 60_000.0
+        name, value = "request_rate", value / (base.n_terminals * minutes)
+    return replace(base, **{name: value}, seed=seed, architecture=architecture)
 
 
 def run_sweep(spec: SweepSpec) -> MetricsTable:

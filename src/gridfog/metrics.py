@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -27,18 +27,8 @@ class MetricsRow:
 COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
-@dataclass
-class MetricsTable:
-    rows: list[MetricsRow] = field(default_factory=list)
-
-    def append(self, row: MetricsRow) -> None:
-        self.rows.append(row)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
+# A metrics table is its rows, in run order.
+MetricsTable = list[MetricsRow]
 
 
 def percentile_nearest_rank(values: list[float], q: float) -> float:

@@ -244,12 +244,7 @@ def place_nodes(
         raise ValueError("arena diameter must be > 0")
     radius = arena_diameter_m / 2.0
     records: list[NodeRecord] = []
-    for i in range(n_terminals):
-        node = terminal_id(i)
-        x, y = rng.child(str(node)).disk_point(0.0, 0.0, radius)
-        records.append(NodeRecord(node, Point2D(x, y)))
-    for i in range(n_fog):
-        node = fog_id(i)
+    for node in [*map(terminal_id, range(n_terminals)), *map(fog_id, range(n_fog))]:
         x, y = rng.child(str(node)).disk_point(0.0, 0.0, radius)
         records.append(NodeRecord(node, Point2D(x, y)))
     for k in range(n_fnc):

@@ -96,6 +96,8 @@ def test_snapshot_restore_round_trip():
     restored = FlowInstance.restore(state, fog_id(1))
     assert restored.snapshot().operator_states == state.operator_states
     assert restored.snapshot().cursor == state.cursor
+    assert restored.processed_log == []
+    assert restored.snapshot().pending == (9, 10)
     assert restored.offer(8) == [8, 9, 10]
     assert restored.operator_states == {"ingest": 10, "assess": 10, "act": 10}
 

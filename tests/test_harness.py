@@ -25,6 +25,7 @@ from gridfog.errors import (
 from gridfog.harness import (
     DEFAULT_SWEEP_VALUES,
     SweepSpec,
+    _cell_config,
     default_sweep,
     derive_seed,
     emit_csv,
@@ -247,13 +248,13 @@ def test_full_grid_row_count_and_order():
     values = [row.swept_value for row in table]
     assert values == sorted(values)
     # within one value, repetitions appear in order, two rows each
-    first_block = table.rows[:10]
+    first_block = table[:10]
     assert all(r.swept_value == 250.0 for r in first_block)
 
 
 def test_sweeps_are_deterministic():
     spec = SweepSpec("n_fnc", (1.0, 2.0), repetitions=2, base=tiny_base())
-    assert run_sweep(spec).rows == run_sweep(spec).rows
+    assert run_sweep(spec) == run_sweep(spec)
 
 
 def test_request_volume_sweep_scales_load():
@@ -277,6 +278,25 @@ def test_seeds_are_pairwise_distinct_across_the_grid():
         for arch in ("traditional", "coordinated")
     }
     assert len(seeds) == 100
+
+
+@pytest.mark.parametrize("variable, value, field, expected", [
+    ("query_range_m", 750.0, "query_range_m", 750.0),
+    ("n_fnc", 3.0, "n_fnc", 3),
+    # tiny_base has 6 terminals and runs 5,000 ms
+    ("n_requests", 80.0, "request_rate", 80.0 / (6 * (5_000.0 / 60_000.0))),
+])
+def test_cell_config_changes_only_the_swept_field_seed_and_architecture(
+        variable, value, field, expected):
+    base = tiny_base(architecture="traditional", n_fnc=1)
+    spec = SweepSpec(variable, (value,), repetitions=1, base=base)
+    cfg = _cell_config(spec, value, 99, "coordinated")
+    assert getattr(cfg, field) == expected
+    assert type(getattr(cfg, field)) is type(expected)
+    assert (cfg.seed, cfg.architecture) == (99, "coordinated")
+    changed = {f.name for f in fields(ScenarioConfig)
+               if getattr(cfg, f.name) != getattr(base, f.name)}
+    assert changed <= {field, "seed", "architecture"}
 
 
 def test_failed_cells_become_error_rows():
@@ -308,7 +328,7 @@ def test_csv_round_trip_reproduces_the_table(tmp_path):
     assert count == len(table) == 8
     assert path.read_text().endswith("\n")
     back = parse_csv(path)
-    assert back.rows == table.rows
+    assert back == table
 
 
 def test_csv_keeps_error_text_with_commas(tmp_path):
@@ -321,7 +341,7 @@ def test_csv_keeps_error_text_with_commas(tmp_path):
     path = tmp_path / "err.csv"
     emit_csv(table, path)
     back = parse_csv(path)
-    assert back.rows == table.rows
+    assert back == table
 
 
 _text = st.text()
@@ -342,7 +362,7 @@ def test_csv_round_trip_keeps_every_row(row):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "rows.csv"
         emit_csv(MetricsTable([row, row]), path)
-        back = parse_csv(path).rows
+        back = parse_csv(path)
     assert back == [row, row]
     assert repr(back[0]) == repr(row)  # tells -0.0 from 0.0
 
@@ -471,8 +491,8 @@ def test_cli_run_writes_metrics_and_topology(tmp_path, capsys):
     assert code == 0
     table = parse_csv(out)
     assert len(table) == 1
-    assert table.rows[0].architecture == "traditional"
-    assert table.rows[0].seed == 3
+    assert table[0].architecture == "traditional"
+    assert table[0].seed == 3
     topo = tmp_path / "metrics_topology.csv"
     assert topo.exists()
     assert "completed" in capsys.readouterr().out
@@ -485,7 +505,7 @@ def test_cli_run_streams_one_trace_line_per_message(tmp_path):
     assert main(["run", "--config", str(cfg), "--seed", "3", "--out", str(out),
                  "--trace", str(trace)]) == 0
     lines = trace.read_text().splitlines()
-    assert len(lines) == parse_csv(out).rows[0].messages_total > 0
+    assert len(lines) == parse_csv(out)[0].messages_total > 0
     keys = [f.name for f in fields(SendTrace)]
     for line in lines:
         record = json.loads(line)
@@ -499,21 +519,31 @@ def test_cli_run_streams_one_trace_line_per_message(tmp_path):
         "fast.cfg", "metrics.csv", "metrics_topology.csv"]
 
 
+def _run_cli_module(*args):
+    """``python -m gridfog.cli *args`` in a child process, with this gridfog on its path."""
+    src = str(Path(gridfog.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gridfog.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 def test_cli_run_prints_no_migration_warning(tmp_path):
     # Seven migration sessions of this run run out of candidates, each logging
     # a warning; with no logging configured, none of them reaches stderr.
     cfg = tmp_path / "exhausting.cfg"
     cfg.write_text("seed = 2\nt_upper_ms = 1\ncapacity = 1\nrequest_rate = 16\n"
                    "max_migration_attempts = 2\n")
-    src = str(Path(gridfog.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "gridfog.cli", "run", "--config", str(cfg),
-         "--out", str(tmp_path / "m.csv")], capture_output=True, text=True, env=env)
+    done = _run_cli_module("run", "--config", str(cfg), "--out", str(tmp_path / "m.csv"))
     assert done.returncode == 0
     assert "completed" in done.stdout
     assert done.stderr == ""
+
+
+def test_cli_module_entry_point_prints_help():
+    done = _run_cli_module("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: gridfog")
 
 
 def test_cli_sweep_then_plot_data(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from gridfog import engine, scenario
 from gridfog.engine import LatencyModel, link_latency
 from gridfog.errors import InvariantViolation
-from gridfog.fognode import evaluate_charging_request
+from gridfog.fognode import FlowInstance, evaluate_charging_request
 from gridfog.harness import SweepSpec, emit_plot_data, run_sweep
 from gridfog.messages import (
     JobDispatch, JobResult, LatencyComplaint, ServiceRequest, StatusReportMsg)
@@ -1069,7 +1069,8 @@ def _host_twice(sim):
     term = next(t for t in sim.terminals.values()
                 if t.flow_id is not None and t.serving_pile != piles[-1])
     flow = sim.piles[term.serving_pile].flows[term.flow_id]
-    sim.piles[piles[piles.index(term.serving_pile) + 1]].reinstall_flow(flow.snapshot())
+    host = sim.piles[piles[piles.index(term.serving_pile) + 1]]
+    host.install_flow(FlowInstance.restore(flow.snapshot(), host.node))
 
 
 def _relabel_replies_as_jobs(sim):

@@ -14,10 +14,9 @@ contend.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial, reduce
 from typing import NamedTuple
 
@@ -116,6 +115,9 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
                 raise ValueError(f"{f.name} must be an integer")
+            if f.type == "float" and (not isinstance(value, (int, float))
+                                      or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be a number")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if min(self.n_terminals, self.n_fog, self.n_fnc) < 0:
@@ -278,11 +280,10 @@ class _DrainTick:
 
 
 class _ComputeDone(NamedTuple):
-    """A pile's computation for a broadcast copy that reached it at ``(arrival, seq)``."""
+    """A pile's computation for a broadcast copy that reached it at ``arrival``."""
 
     request: ServiceRequest
     arrival: SimTime
-    seq: int
 
 
 _new_compute_done = partial(tuple.__new__, _ComputeDone)
@@ -315,21 +316,11 @@ class _Booking:
     """The books only a coordinated run keeps; a traditional run has none.
 
     ``links[fnc][pile]`` is an FNC–pile backhaul cost at no load, fixed at
-    set-up; ``hypot`` ignores signs, so it holds both ways.  A reply row is
-    held in a heap keyed ``(handled_at, seq)`` until the event loop gets there.
+    set-up; ``hypot`` ignores signs, so it holds both ways.
     """
 
     links: dict[NodeId, dict[NodeId, float]]  # per FNC, per pile
     last_report: dict[NodeId, StatusReportMsg]  # per pile
-    held: list[tuple[SimTime, int, SendTrace]] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class _JobsHandled:
-    """Every job of a request is handled by now, and each reply beats its deadline."""
-
-    request_id: str
-    last_arrival: SimTime  # of the replies, when the FNC decides
 
 
 class Simulation:
@@ -566,7 +557,7 @@ class Simulation:
         A status report stamped before now is a repeat that its FNC holds,
         or will once an earlier copy arrives, so it changes nothing and is
         only counted.  Any other payload is queued.  The trace records the
-        true arrival either way; held reply rows are ``run``'s to release.
+        true arrival either way.
         """
         kind = type(payload)
         if kind is StatusReportMsg and payload.status.reported_at < self.queue.clock:
@@ -588,32 +579,15 @@ class Simulation:
 
     # ------------------------------------------------------------ events
     def run(self) -> "Simulation":
-        """Handle every event due by the horizon and check the run; later calls just return it.
-
-        In a traced coordinated run each event first traces the held reply rows keyed
-        before its ``(fire_at, seq)``; one held in an event keys after it, by a later seq.
-        No coordinated event is stored by ``schedule_under``, so that pair orders them all.
-        """
+        """Handle every event due by the horizon and check the run; later calls just return it."""
         if self.events_left is not None:
             return self
         self._tally.base_load = self._total_load()
-        handle, holding = self._handle, self._traced and self._booking is not None
-        if holding:
-            held, append = self._booking.held, self.trace.append
-
-            def handle(event, handle_event=handle):
-                key = event.fire_at, event.seq  # a row held at the event's own key sorts after it
-                while held and held[0] < key:
-                    append(heapq.heappop(held)[2])
-                handle_event(event)
-        self.queue.run_until(self.horizon, handle)
-        if holding:
-            for *_, row in sorted(held):
-                append(row)
+        self.queue.run_until(self.horizon, self._handle)
         # Events still due past the horizon, queued or booked at send.  A queued
         # computation whose copy reached a full pile by the horizon is none: the
         # pile dropped the copy on arrival.
-        dropped = sum(self._full_at_arrival(event.target, event.payload) for event in sorted(
+        dropped = sum(self._full_at_arrival(pile, done, seq) for _, seq, pile, done in sorted(
             event for event in self.queue
             if type(event.payload) is _ComputeDone and event.payload.arrival <= self.horizon))
         self.events_left = len(self.queue) + self._past_horizon - dropped
@@ -698,23 +672,20 @@ class Simulation:
         channel slots one after another, nearest first, and each arrival
         adds ``link_latency``'s terms in its order, with the distance that
         ``PileIndex.within`` gives.  Sends are counted once for the request.
-
-        No event marks a copy's arrival: it takes the sequence number its event
-        would have, from one block in hit order, and the pile's computation is
-        queued ``compute_ms`` later under that key, where the arrival would have queued it.
+        No event marks a copy's arrival: the pile's computation is queued
+        ``compute_ms`` after it, carrying the arrival.
         """
         queue, channel, piles, model = self.queue, self.channel, self.piles, self.wireless
         node, request_id = request.requester, request.request_id
         hits = self.pile_index.within(request.origin, request.query_range_m)
         clock, air, acquire = queue.clock, channel.air_ms, channel.acquire
         base, per_m, proc = model.base_ms, model.prop_ms_per_m, model.proc_ms_per_unit
-        schedule_under, traced = queue.schedule_under, self._traced
+        schedule, traced = queue.schedule, self._traced
         compute_ms = self.config.compute_ms
-        for seq, (distance, pile) in enumerate(hits, queue.reserve(len(hits))):
+        for distance, pile in hits:
             load = float(piles[pile].pile.queue_len)
             arrival = acquire(clock) + air + ((base + per_m * distance) + proc * load)
-            schedule_under(arrival + compute_ms, arrival, seq, pile,
-                           _new_compute_done((request, arrival, seq)))
+            schedule(arrival + compute_ms, pile, _new_compute_done((request, arrival)))
             if traced:
                 self.trace.append(SendTrace(clock, arrival, "wireless", node, pile, distance,
                                             load, "ServiceRequest", request_id))
@@ -731,14 +702,14 @@ class Simulation:
         ``_Booking.links`` cost plus its pile's load term.
         Its pile handles it ``compute_ms`` later and replies at once, at the
         link's cost, as the FNC has no receiver load.  Both are counted and
-        traced at dispatch, the reply's row held until the event loop
-        reaches the job's handling, whose sequence number the job takes.  When
-        every reply is in time, one event at the last job's handling schedules
-        the decision for the latest arrival.  Otherwise the deadline decides,
-        and a reply due at or after it misses the window, as the deadline
-        event, queued before any reply was sent, fires first on a tie.  A job
-        handled past the horizon sends no reply; it, a reply and an unqueued
-        deadline due past the horizon count in ``events_left``.
+        traced at dispatch, the reply's row right after the job's, and the job
+        takes the sequence number an event stored then would.  When every
+        reply is in time, the decision is queued for the latest arrival.
+        Otherwise the deadline decides, and a reply due at or after it misses
+        the window, as the deadline event, queued before any reply was sent,
+        fires first on a tie.  A job handled past the horizon sends no reply;
+        it, a reply and an unqueued deadline due past the horizon count in
+        ``events_left``.
         """
         cfg, queue, horizon, piles = self.config, self.queue, self.horizon, self.piles
         clock, request_id = queue.clock, request.request_id
@@ -767,16 +738,15 @@ class Simulation:
                 unhandled += 1
                 continue
             reply = handled_at + fixed  # the reply pays the pair's load-free cost
+            if traced:
+                self.trace.append(SendTrace(handled_at, reply, "backhaul", node, fnc_node,
+                                            distance, 0.0, "JobResult", request_id))
             if reply > horizon:
                 past += 1
             if reply < deadline:
                 booked.append((handled_at, seq, pile))
                 if reply > latest:
                     latest = reply
-            if traced:
-                heapq.heappush(self._booking.held, (handled_at, seq, SendTrace(
-                    handled_at, reply, "backhaul", node, fnc_node, distance, 0.0,
-                    "JobResult", request_id)))
         if not (jobs := len(hits) - full):
             self.send_wireless(fnc_node, request.requester, FailureNotice(
                 request_id, "no-eligible-nodes"), request_id)
@@ -787,17 +757,11 @@ class Simulation:
         sent[JobResult] += replies
         self._outcome_by_id[request_id].messages_used += jobs + replies
         if len(booked) == jobs:  # every reply in time
-            last_handled, last_seq, _ = max(booked)
-            queue.schedule_reserved(last_handled, last_seq, fnc_node,
-                                    _JobsHandled(request_id, latest))
+            queue.schedule(latest, fnc_node, _Deadline(request_id))
             past += deadline > horizon
         else:
             queue.schedule(deadline, fnc_node, _Deadline(request_id))
         self._past_horizon += unhandled + past
-
-    def _jobs_handled(self, fnc_node: NodeId, done: _JobsHandled):
-        """The last job is handled: decide at the latest reply's arrival."""
-        self.queue.schedule(done.last_arrival, fnc_node, _Deadline(done.request_id))
 
     def _agg_timeout(self, fnc_node: NodeId, deadline: _Deadline):
         """Decide for the booked job of lowest ``(score, pile)``, as ``aggregate`` would.
@@ -851,17 +815,20 @@ class Simulation:
         report_status(self.registries[fnc_node], msg.status)
 
     # ------------------------------------------------------- traditional
-    def _full_at_arrival(self, pile_node: NodeId, done: _ComputeDone) -> bool:
+    def _full_at_arrival(self, pile_node: NodeId, done: _ComputeDone, seq: int) -> bool:
         """Whether ``pile_node`` was full when ``done``'s copy reached it.
 
-        Its load then is the load before the first change in its log after the
+        ``seq`` is the computation's, taken when the copy was sent.  The load
+        then is the load before the first change in the pile's log after the
         copy's ``(arrival, seq)``, found by one bisection, else its load now.
-        A pile reads its log in arrival order, so the entries before go.
+        A pile's computations read its log in the order they run, which is
+        arrival order unless their sums round onto one instant, and each read
+        drops the entries before it.
         """
         host, changes = self.piles[pile_node], self._load_log[pile_node]
         load = host.pile.queue_len
         if changes:  # most loads have not changed since the last read
-            after = bisect.bisect_left(changes, (done.arrival, done.seq + 1))
+            after = bisect.bisect_left(changes, (done.arrival, seq + 1))
             if after < len(changes):
                 load = changes[after][2]
             del changes[:after]
@@ -879,7 +846,7 @@ class Simulation:
         layer and replies once, so this is ``aggregate``'s minimum in any
         reply order.  A reply due past the horizon counts in ``events_left``.
         """
-        if self._full_at_arrival(pile_node, done):
+        if self._full_at_arrival(pile_node, done, self.queue.seq):
             return
         request, pile = done.request, self.piles[pile_node].pile
         score = offer_score(request, pile, pile.queue_len, self.config.weights)
@@ -1022,7 +989,6 @@ class Simulation:
             _ReportTick: _report_piles,
             _DrainTick: _drain_piles,
             ServiceRequest: _fnc_process,
-            _JobsHandled: _jobs_handled,
             _Deadline: _agg_timeout,
             Decision: _decision_at_terminal,
             FailureNotice: _failure_at_terminal,

@@ -94,8 +94,8 @@ CONFIGS = {
         architecture="traditional", capacity=1, wireless_air_ms=0.0,
         wireless_prop_ms_per_m=0.0),
     # Computations so long that copies arriving at different instants are due
-    # at one: the sums round together, so each must run where its arrival
-    # would have queued it, and their replies take the channel in that order.
+    # at one: the sums round together, so they run in the order they were
+    # queued, and their replies take the channel in that order.
     "traditional-computations-round-together": dict(
         architecture="traditional", compute_ms=2.0**47, aggregation_timeout_ms=2.0**48,
         n_fog=20, wireless_prop_ms_per_m=0.5, request_rate=30.0, sim_duration_ms=20_000.0),
@@ -105,23 +105,23 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "coordinated": "111eb77cd3f40f59f9ddbae9080ed6e3d2def9938d6345ddb5210881d550c000",
+    "coordinated": "4454a042fdb2433e247d4811f376b827c8f4e29897d061d2f391390a00761fbb",
     "traditional": "66b259043193c8ee4e60ae839f1a078eac437eff3fd6c18febc0a1bf824b5906",
-    "coordinated-instant-backhaul": "8ee10305a02410272efb3d69f6850fa29a3277216129f5eaf197470ac1e8c78c",
-    "coordinated-reply-at-deadline": "2b28ad5589321a9d7fb61d039d7b845b1fb914d6f2a882efa3e2d26c65bd8dc1",
+    "coordinated-instant-backhaul": "7650c00c17d7f4e154977eb3b074b88eb937bc6c2479336ea58b6e4fbfd4e321",
+    "coordinated-reply-at-deadline": "6b74ff22442fd0500677f70192577dbb30604bde0d8fecb0d21dbd92207a00d5",
     "traditional-reply-at-deadline": "ebaa2435069d1ddba0a8002183ff4015de68a84a204f1976f72238292b182454",
-    "coordinated-1ms-window": "92d941a1e858199913bedbf18d8aad8db801efe521aa0d8eb894b6dc52a47139",
+    "coordinated-1ms-window": "92b434676a268e92614e6a356a87a7b265eb66e23cd0abac35ea44a298ccd623",
     "traditional-1ms-window": "5b5deb7d09d8d21618abc364e84823487067b6045ffb6ac78f28adce02936cbc",
-    "coordinated-short-window": "e293c372120cf77b7502898c72d0e635a33cccc2a3ead9029219c2b066ae67f6",
-    "coordinated-migrating": "6ed107af31919aa0134ac37ab3db5cb01188d44f89609124003fe078c5be2498",
-    "coordinated-migration-bounded": "a5fa1d494438b2f2e654eea07062ddbe6b26c5411b0934848da8463c5d2f4039",
+    "coordinated-short-window": "72aa76d3beb98446b3e00a1e898773fbac6f07e9e0fc106e5f1a023a39fadd6f",
+    "coordinated-migrating": "b049961335020c60247bc87ddf00800abc2e05acee4cdc3f6da01329d0f04ae0",
+    "coordinated-migration-bounded": "b13e9995e4333f62ad3b9b17fd4339b5746504137e8708c91834c2a90a880bc0",
     "traditional-overload": "f88131261367511cd3cd616c3a08f3f9b37de535b840d6e0e680f026efab6153",
-    "coordinated-slow-backhaul": "a32e43415c70bb3aa77890a714c61768dce2a3cfe6be7e8b682781e8b996ca88",
+    "coordinated-slow-backhaul": "5c203bc3d6c7fc2a4bcbe79f22989c66f04a82180c26ec9b76d92b5f37f77b70",
     "traditional-fast-walkers": "cc1540c3c6261d18dc0059da8744c9f87d705596bef20e607f4c97b122e88c7f",
-    "coordinated-load-moves": "6e2e93d0cbb41c2233709269245e4f0be9e8d33dcb1a7a0ec2bf60db0b3cf91e",
-    "coordinated-load-decides": "3ff69f348dea067ca3cf5941e74df21adf0101c3efd069283cea42e71b81d3c5",
+    "coordinated-load-moves": "0a9bf9983148a7aa4bd901b0934f433bfacc1e24924caf8fd85fd67d341e11c4",
+    "coordinated-load-decides": "702d1ab4edf2883181dc82a6ccff166a682c0a8c71dc6e74e5a4fa23d98f6ebd",
     "traditional-full-piles-instant": "0f293d2a075471f3ec4705bae646309dd3755172fb94d851716c03de4ce26c37",
-    "traditional-computations-round-together": "e374f231a03e1ee548bd2740336be8f695a9d9ac5ea0150b7226d9605c74e52f",
+    "traditional-computations-round-together": "e5142352fd38655ea0c68b408c9f7243fa1ef5cd14dc3b9a549f07531f3d3812",
     "traditional-score-ties": "1d65be04ee23276d081e08199a289effe27aba5a86e020dee1b70c9b85cb8aff",
 }
 
@@ -151,7 +151,7 @@ CLI_CASES = {
 }
 
 FILE_GOLDEN = {
-    "run-coordinated": "3c54d7e36939984e84acdcc27e2c96aa9dd4237ad3b49a543d1b35ac2c718a4a",
+    "run-coordinated": "9b2dd8b1c8ad98a0dbfe57dbedb723cc0a57f3b78ab4c48877c59af79ce8f73c",
     "run-traditional": "d0459e1d8ddbc083323584a718e58d77ceb97efa0ae0dd5775de3841761260d8",
     "sweep-fnc": "4bca86b2200b0238f183b737f8d7ae9d4301f303b2799b5f2f0ad28032238d28",
 }

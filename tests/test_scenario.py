@@ -17,7 +17,7 @@ from gridfog.messages import (
     JobDispatch, JobResult, LatencyComplaint, ServiceRequest, StatusReportMsg)
 from gridfog.metrics import MetricsRow, MetricsTable
 from gridfog.scenario import ScenarioConfig, Simulation, run_scenario
-from gridfog.topology import PileIndex, Point2D, Registry, fog_id
+from gridfog.topology import Layer, PileIndex, Point2D, Registry, fog_id
 
 
 def small_config(**overrides):
@@ -35,6 +35,15 @@ def test_an_integer_field_takes_only_an_integer(field, value):
         ScenarioConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("query_range_m", True), ("ewma_alpha", True),  # each ran as 1.0
+    ("sim_duration_ms", "5000"), ("compute_ms", None),  # each raised TypeError
+])
+def test_a_float_field_takes_only_a_number(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number$"):
+        ScenarioConfig(**{field: value})
+
+
 def run_noting_origins(config, **kwargs):
     """Run ``config``; also return each request's origin, as the run sent it.
 
@@ -44,22 +53,15 @@ def run_noting_origins(config, **kwargs):
     """
     sim = Simulation(config, **kwargs)
     origins = {}
-    schedule, schedule_under = sim.queue.schedule, sim.queue.schedule_under
+    schedule = sim.queue.schedule
 
-    def note(payload):
+    def spy(fire_at, target, payload):
         request = payload.request if isinstance(payload, scenario._ComputeDone) else payload
         if isinstance(request, ServiceRequest):
             origins[request.request_id] = request.origin
-
-    def spy(fire_at, target, payload):
-        note(payload)
         return schedule(fire_at, target, payload)
 
-    def spy_under(fire_at, parent_at, parent_seq, target, payload):
-        note(payload)
-        return schedule_under(fire_at, parent_at, parent_seq, target, payload)
-
-    sim.queue.schedule, sim.queue.schedule_under = spy, spy_under
+    sim.queue.schedule = spy
     return sim.run(), origins
 
 
@@ -482,7 +484,8 @@ def broadcast_one_way(sim, terminals, one_loop):
     ``free_at`` and the trace rows, each as its repr, which spells every float
     to the bit, then ``messages_total`` and each probe's ``messages_used``.
     A per-pile send queues an arrival event; ``_broadcast`` queues the
-    computation ``compute_ms`` later, keyed under the arrival that it carries.
+    computation ``compute_ms`` after the arrival that it carries, taking the
+    sequence number the arrival event would.
     """
     clock, sent = sim.queue.clock, []
     for seq, node in enumerate(terminals):
@@ -501,10 +504,9 @@ def broadcast_one_way(sim, terminals, one_loop):
         if isinstance(e.payload, ServiceRequest):
             copies.append((e.target, e.payload, e.fire_at, e.seq))
         elif isinstance(e.payload, scenario._ComputeDone):
-            request, arrival, seq = e.payload
-            assert (e.fire_at, e.parent_at, e.parent_seq) == (
-                arrival + sim.config.compute_ms, arrival, seq)
-            copies.append((e.target, request, arrival, seq))
+            request, arrival = e.payload
+            assert e.fire_at == arrival + sim.config.compute_ms
+            copies.append((e.target, request, arrival, e.seq))
     used = [sim._outcome_by_id[r.request_id].messages_used for r in sent]
     return ([repr(copy) for copy in copies], repr(sim.channel.free_at),
             [repr(t) for t in sim.trace], sim.messages_total, used)
@@ -562,6 +564,20 @@ def test_every_message_is_traced(config, edge):
     assert sim.messages_total == sum(sim.sent.values()) == len(sim.trace)
     rows = Counter(t.kind for t in sim.trace)
     assert rows == {kind.__name__: n for kind, n in sim.sent.items() if n}
+    # Rows are in send order.  A pile's reply to an FNC is traced at dispatch,
+    # right after its job's row, though it is sent when the pile handles the
+    # job; every other row is traced when it is sent.
+    sent_at, replies = 0.0, 0
+    for before, row in zip([None, *sim.trace], sim.trace):
+        if row.kind == "JobResult" and row.dst.layer == Layer.FNC:
+            assert (before.kind, before.src, before.dst, before.request_id) == (
+                "JobDispatch", row.dst, row.src, row.request_id)
+            assert row.sent_at == before.arrives_at + sim.config.compute_ms
+            replies += 1
+        else:
+            assert row.sent_at >= sent_at
+            sent_at = row.sent_at
+    assert replies == (sim.sent[JobResult] if config.architecture == "coordinated" else 0)
 
 
 @pytest.mark.parametrize("architecture", ["traditional", "coordinated"])

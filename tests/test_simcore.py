@@ -74,12 +74,12 @@ def test_run_until_processes_follow_ups():
 def test_run_until_clock_tracks_last_event():
     q = EventQueue()
     assert q.seq == -1  # no event handled yet
-    reserved = q.reserve()
     q.schedule(4.0, "a", "x")
-    q.schedule_reserved(6.0, reserved, "a", "y")
+    reserved = q.reserve()
+    q.schedule(6.0, "a", "y")
     seen = []
     q.run_until(10.0, lambda ev: seen.append((ev.seq, q.seq, q.clock)))
-    assert seen == [(1, 1, 4.0), (reserved, reserved, 6.0)]
+    assert seen == [(0, 0, 4.0), (reserved + 1, reserved + 1, 6.0)]
     assert q.clock == 10.0
 
     q2 = EventQueue()
@@ -131,19 +131,6 @@ def test_event_order_is_total():
     assert len({s for _, s in seen}) == 10_000
 
 
-def test_a_reserved_number_sorts_where_a_schedule_then_would_have():
-    q = EventQueue()
-    q.schedule(5.0, "n", "before")
-    seq = q.reserve()
-    q.schedule(5.0, "n", "after")
-    q.schedule(2.0, "n", "earlier")
-    assert len(q) == 3  # a reservation stores nothing
-    q.schedule_reserved(5.0, seq, "n", "reserved")
-    seen = []
-    q.run_until(10.0, lambda ev: seen.append((ev.payload, ev.seq)))
-    assert seen == [("earlier", 3), ("before", 0), ("reserved", 1), ("after", 2)]
-
-
 def test_a_block_reservation_takes_consecutive_numbers():
     q = EventQueue()
     q.schedule(1.0, "n", "before")
@@ -151,94 +138,9 @@ def test_a_block_reservation_takes_consecutive_numbers():
     assert first == 1
     assert q.schedule(1.0, "n", "after").seq == first + 4
     assert len(q) == 2  # a reservation stores nothing
-    for seq in reversed(range(first, first + 4)):
-        q.schedule_reserved(1.0, seq, "n", seq)
     seen = []
     q.run_until(1.0, lambda ev: seen.append(ev.payload))
-    assert seen == ["before", 1, 2, 3, 4, "after"]
-
-
-def test_a_reservation_cannot_be_stored_before_the_clock():
-    q = EventQueue()
-    q.schedule(7.0, "a", "x")
-    seq = q.reserve()
-    q.run_until(7.0, lambda ev: None)
-    with pytest.raises(SchedulingInPast):
-        q.schedule_reserved(6.999, seq, "a", "late")
-    with pytest.raises(SchedulingInPast):
-        q.schedule_under(6.999, 6.0, seq, "a", "late")
-    assert len(q) == 0
-    q.schedule_reserved(7.0, seq, "a", "now")
-    assert len(q) == 1
-
-
-@st.composite
-def event_trees(draw):
-    """Events at a few instants, each scheduled at set-up or by an earlier plain event.
-
-    Each is ``(parent, kind, delay, compute)``: ``parent`` indexes an earlier
-    plain event, or is -1 for set-up.  A plain event fires ``delay`` after its
-    parent.  A computation is the one child of an arrival that fires ``delay``
-    after the parent, and fires ``compute`` after the arrival; it schedules
-    nothing.  Delays of 0 put many events at one instant.
-    """
-    delays = st.sampled_from([0.0, 0.0, 1.0])
-    plain, events = [-1], []
-    for i in range(draw(st.integers(1, 30))):
-        kind = draw(st.sampled_from(["plain", "computation"]))
-        events.append((draw(st.sampled_from(plain)), kind, draw(delays), draw(delays)))
-        if kind == "plain":
-            plain.append(i)
-    return events
-
-
-def handled_order(events, explicit_arrivals):
-    """The order a queue handles ``events``' plain events and computations in.
-
-    With ``explicit_arrivals`` each arrival is an event that schedules its
-    computation when handled; otherwise the arrival's parent takes a number
-    for it and stores the computation under it with ``schedule_under``.
-    """
-    q, seen = EventQueue(), []
-
-    def schedule_children(parent):
-        for i, (p, kind, delay, compute) in enumerate(events):
-            if p != parent:
-                continue
-            if kind == "plain":
-                q.schedule(q.clock + delay, "n", i)
-            elif explicit_arrivals:
-                q.schedule(q.clock + delay, "n", ("arrival", i, compute))
-            else:
-                arrival = q.clock + delay
-                q.schedule_under(arrival + compute, arrival, q.reserve(), "n", i)
-
-    def handle(ev):
-        if isinstance(ev.payload, tuple):  # an explicit arrival
-            _, i, compute = ev.payload
-            q.schedule(q.clock + compute, "n", i)
-            return
-        seen.append(ev.payload)
-        if events[ev.payload][1] == "plain":
-            schedule_children(ev.payload)
-
-    schedule_children(-1)
-    q.run_until(100.0, handle)
-    assert len(q) == 0
-    return seen
-
-
-@settings(deadline=None)
-@given(event_trees())
-def test_a_child_stored_under_its_parent_runs_where_the_handled_parent_would_queue_it(events):
-    assert handled_order(events, False) == handled_order(events, True)
-
-
-def test_a_child_under_a_later_parent_runs_after_events_its_parent_would_follow():
-    # The arrival fires at 1 after a plain event queued for 1 by the same
-    # parent, so the computation it queues for 1 runs after that event too.
-    events = [(-1, "plain", 0.0, 0.0), (0, "computation", 1.0, 0.0), (0, "plain", 1.0, 0.0)]
-    assert handled_order(events, False) == handled_order(events, True) == [0, 2, 1]
+    assert seen == ["before", "after"]
 
 
 def test_clock_never_rewinds_in_handler():
